@@ -18,7 +18,7 @@ Sector index convention: column ``j`` of a correlation table holds sector
 the same formula, no special casing).
 
 Both lanes return identical values up to summation-order roundoff; a test
-compares them and ``benchmarks/bench_kernels.py`` times them.
+compares them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, hilbert, jcm, subdyn
-from .numerics import max_abs
+from .numerics import max_abs, require_hermitian
 
 __all__ = [
     "Scenario",
@@ -145,16 +145,22 @@ def _closed_channels(scenario: Scenario):
 
 
 def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float):
-    """Brute-force versions of the closed-form channels, one propagator per point."""
+    """Brute-force versions of the closed-form channels, one propagator per point.
+
+    The weighting states and their factorizations are fixed per scenario.  At
+    each point one checked U(t) dresses a and N against the atom start and
+    sigma_z against the photon start.
+    """
     p = scenario.params
     space = p.space
     ham = jcm.hamiltonian(p)
     prop = subdyn.SpectralPropagator(ham.total)
-    a_op = hilbert.annihilation(space)
-    n_op = hilbert.number_op(space)
-    sz = hilbert.pauli_ops().z
-    rho_atom = scenario.atom_init
-    rho_photon = coh.density()
+    photon_ops = (hilbert.annihilation(space), hilbert.number_op(space))
+    atom_ops = (hilbert.pauli_ops().z,)
+    rho_atom = require_hermitian(scenario.atom_init, what="weighting state")
+    rho_photon = require_hermitian(coh.density(), what="weighting state")
+    atom_factors = subdyn._weight_factors(rho_atom)
+    photon_factors = subdyn._weight_factors(rho_photon)
     amps = coh.amplitudes
     ts = scenario.times()
     nt = len(ts)
@@ -164,14 +170,13 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
     upper = np.empty(nt)
     lower = np.empty(nt)
     for i, t in enumerate(ts):
-        u = prop(t)
-        eff_a = subdyn.effective_operator(u, a_op, "photon", rho_atom, t)
-        eff_n = subdyn.effective_operator(u, n_op, "photon", rho_atom, t)
-        eff_z = subdyn.effective_operator(u, sz, "atom", rho_photon, t)
-        abs_a[i] = abs(amps.conj() @ eff_a.matrix @ amps)
-        quasi_n[i] = (amps.conj() @ eff_n.matrix @ amps).real
-        mean_z[i] = np.trace(eff_z.matrix @ rho_atom).real
-        evals = np.linalg.eigvalsh(eff_z.matrix)
+        core = subdyn._Heisenberg(prop(t))
+        eff_a, eff_n = core.matrices("photon", photon_ops, rho_atom, atom_factors)
+        (eff_z,) = core.matrices("atom", atom_ops, rho_photon, photon_factors)
+        abs_a[i] = abs(amps.conj() @ eff_a @ amps)
+        quasi_n[i] = (amps.conj() @ eff_n @ amps).real
+        mean_z[i] = np.trace(eff_z @ rho_atom).real
+        evals = np.linalg.eigvalsh(eff_z)
         lower[i], upper[i] = float(evals[0]), float(evals[1])
     return {
         "oracle_abs_quasi_a": abs_a,

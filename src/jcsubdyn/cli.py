@@ -151,8 +151,21 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _finite(value, name: str) -> float:
+    """``value`` as a finite float, or a :class:`ConfigError` naming ``name``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 def _resolve(cfg: dict, tail_tol: float):
     """Validate a raw config dict into (Scenario, output settings, canonical echo)."""
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise ConfigError(f"tail tolerance must be finite and > 0, got {tail_tol!r}")
     merged = json.loads(json.dumps(_DEFAULTS))
     for key, val in cfg.items():
         if key not in merged:
@@ -167,14 +180,11 @@ def _resolve(cfg: dict, tail_tol: float):
         else:
             merged[key] = val
 
-    try:
-        omega = float(merged["omega"])
-        omega0 = float(merged["omega0"])
-        g = float(merged["g"])
-        mag = float(merged["alpha_mag"])
-        phase = float(merged["alpha_phase"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"non-numeric model parameter: {exc}") from exc
+    omega = _finite(merged["omega"], "omega")
+    omega0 = _finite(merged["omega0"], "omega0")
+    g = _finite(merged["g"], "g")
+    mag = _finite(merged["alpha_mag"], "alpha_mag")
+    phase = _finite(merged["alpha_phase"], "alpha_phase")
     if mag < 0:
         raise ConfigError("alpha_mag must be >= 0")
 
@@ -185,22 +195,20 @@ def _resolve(cfg: dict, tail_tol: float):
     else:
         try:
             n_max = int(n_max_cfg)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"n_max must be an integer or 'auto', got {n_max_cfg!r}") from exc
 
-    atom = merged["atom_init"]
-    try:
-        rho = np.array([[atom["uu"], atom["ud_re"] + 1j * atom["ud_im"]],
-                        [atom["ud_re"] - 1j * atom["ud_im"], atom["dd"]]],
-                       dtype=np.complex128)
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"bad atom_init: {exc}") from exc
+    atom = {key: _finite(val, f"atom_init.{key}") for key, val in merged["atom_init"].items()}
+    rho = np.array([[atom["uu"], atom["ud_re"] + 1j * atom["ud_im"]],
+                    [atom["ud_re"] - 1j * atom["ud_im"], atom["dd"]]],
+                   dtype=np.complex128)
 
     grid_cfg = merged["grid"]
-    steps = grid_cfg["steps"]
-    if not float(steps).is_integer():
-        raise ConfigError(f"grid steps must be an integer, got {steps!r}")
-    grid = (float(grid_cfg["start"]), float(grid_cfg["stop"]), int(steps))
+    steps = _finite(grid_cfg["steps"], "grid steps")
+    if not steps.is_integer():
+        raise ConfigError(f"grid steps must be an integer, got {grid_cfg['steps']!r}")
+    grid = (_finite(grid_cfg["start"], "grid start"), _finite(grid_cfg["stop"], "grid stop"),
+            int(steps))
 
     fmt = merged["output"]["format"]
     if fmt not in ("csv", "json"):

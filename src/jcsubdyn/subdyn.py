@@ -37,7 +37,7 @@ from .hilbert import (
     require_atom_density,
     require_density,
 )
-from .numerics import adjoint, eigh_hermitian, max_abs, require_hermitian, require_unitary
+from .numerics import eigh_hermitian, max_abs, require_hermitian, require_unitary
 
 __all__ = [
     "CrossCheckError",
@@ -240,6 +240,82 @@ def _weight_factors(weight: np.ndarray):
     return np.sqrt(np.clip(evals[keep], 0.0, None)), evecs[:, keep]
 
 
+class _Heisenberg:
+    """One propagator U, checked unitary once, dressing operators on either side.
+
+    :meth:`matrices` runs both effective-operator routes for a sequence of
+    operators on one side.  Operators act on one tensor leg of a reshaped U
+    (no Kronecker products), and each route is a few matrix products.
+    """
+
+    def __init__(self, u: np.ndarray, unitary_tol: float = 1e-10):
+        u = require_unitary(np.asarray(u, dtype=np.complex128), unitary_tol, "propagator")
+        self.dim = u.shape[0]
+        self.nph = self.dim // ATOM_DIM
+        # cols[k, p, m] = <k|U|m, p>: composite row k, column split into atom p, photon m
+        self.cols = np.ascontiguousarray(
+            u.reshape(self.dim, self.nph, ATOM_DIM).transpose(0, 2, 1))
+
+    def matrices(self, side: str, ops, weight: np.ndarray, factors,
+                 crosscheck_tol: float = 1e-9) -> list[np.ndarray]:
+        """Direct-route effective matrices of ``ops``, each checked against the Kraus route.
+
+        ``weight`` is the other side's initial state, already checked
+        Hermitian, and ``factors`` its :func:`_weight_factors`.  The Kraus
+        members depend on U and the factors only, so they are built once for
+        all of ``ops``.  Raises :class:`CrossCheckError` if the routes
+        disagree beyond ``crosscheck_tol`` for any operator.
+        """
+        nph, cols = self.nph, self.cols
+        roots, vecs = factors
+        chi = vecs * roots  # column j is q_j chi_j
+        # ``op @ ket`` and ``op @ members`` apply the operator to its own part of
+        # the composite row index; flattened to (-1, dim), the rows are then the
+        # summed indices, contracted by ``bra`` and ``members_bra``.
+        if side == "photon":
+            if weight.shape != (ATOM_DIM, ATOM_DIM):
+                raise ValueError("weighting state must be a 2x2 atom matrix")
+            dim, what = nph, "photon-side operator has wrong shape"
+            # direct, Tr_atom[U†(O⊗I)U(I⊗rho)]: ket[n, (a, s, m)] = (U(I⊗rho))[(n, a), (m, s)],
+            # bra[n', (k, s)] = conj <k|U|n', s>
+            ket = (weight.T @ cols).reshape(nph, -1)
+            bra = cols.reshape(-1, nph).conj().T
+            # Kraus: K_{s,j}[n, m] = q_j <n, s|U|m, chi_j>, stored as members[n, (s, j, m)]
+            members = (chi.T @ cols).reshape(nph, -1)
+        elif side == "atom":
+            if weight.shape != (nph, nph):
+                raise ValueError("weighting state must live on the photon space")
+            dim, what = ATOM_DIM, "atom-side operator must be 2x2"
+            # direct, Tr_photon[U†(I⊗O)U(rho⊗I)]: ket[N, a, (n, p)] = (U(rho⊗I))[(N, a), (n, p)],
+            # bra[s, (k, n)] = conj <k|U|n, s>
+            ket = np.ascontiguousarray((cols.reshape(-1, nph) @ weight)
+                                       .reshape(self.dim, ATOM_DIM, nph).transpose(0, 2, 1))
+            ket = ket.reshape(nph, ATOM_DIM, -1)
+            bra = cols.transpose(1, 0, 2).reshape(ATOM_DIM, -1).conj()
+            # Kraus: K_{N,j}[s, p] = q_j <N, s|U|chi_j, p>, stored as members[(N, j), s, p]
+            members = np.ascontiguousarray((cols.reshape(-1, nph) @ chi)
+                                           .reshape(nph, ATOM_DIM, ATOM_DIM, -1)
+                                           .transpose(0, 3, 1, 2))
+            members = members.reshape(-1, ATOM_DIM, ATOM_DIM)
+        else:
+            raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
+        members_bra = members.reshape(-1, dim).conj().T
+
+        out = []
+        for op in ops:
+            op = np.asarray(op, dtype=np.complex128)
+            if op.shape != (dim, dim):
+                raise ValueError(what)
+            direct = bra @ (op @ ket).reshape(-1, dim)
+            via_kraus = members_bra @ (op @ members).reshape(-1, dim)
+            defect = max_abs(direct - via_kraus)
+            if defect > crosscheck_tol:
+                raise CrossCheckError(
+                    f"effective-operator routes disagree by {defect:.3e} (> {crosscheck_tol:.1e})")
+            out.append(direct)
+        return out
+
+
 def effective_operator(u: np.ndarray, op: np.ndarray, side: str,
                        other_initial: np.ndarray, t: float = 0.0,
                        crosscheck_tol: float = 1e-9,
@@ -250,49 +326,11 @@ def effective_operator(u: np.ndarray, op: np.ndarray, side: str,
     and the Kraus-member sum, and raises :class:`CrossCheckError` if they
     disagree beyond ``crosscheck_tol``.
     """
-    u = require_unitary(np.asarray(u, dtype=np.complex128), unitary_tol, "propagator")
-    op = np.asarray(op, dtype=np.complex128)
     other_initial = require_hermitian(np.asarray(other_initial, dtype=np.complex128),
                                       what="weighting state")
-    nph = u.shape[0] // ATOM_DIM
-    if side == "photon":
-        if op.shape != (nph, nph):
-            raise ValueError("photon-side operator has wrong shape")
-        if other_initial.shape != (ATOM_DIM, ATOM_DIM):
-            raise ValueError("weighting state must be a 2x2 atom matrix")
-        big = adjoint(u) @ np.kron(op, np.eye(ATOM_DIM)) @ u
-        x4 = _as_u4(big, nph)
-        direct = np.einsum("nsmp,ps->nm", x4, other_initial)
-    elif side == "atom":
-        if op.shape != (ATOM_DIM, ATOM_DIM):
-            raise ValueError("atom-side operator must be 2x2")
-        if other_initial.shape != (nph, nph):
-            raise ValueError("weighting state must live on the photon space")
-        big = adjoint(u) @ np.kron(np.eye(nph), op) @ u
-        x4 = _as_u4(big, nph)
-        direct = np.einsum("nsmp,mn->sp", x4, other_initial)
-    else:
-        raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
-
-    # independent route: explicit Kraus members from a factorization of the weight
-    roots, vecs = _weight_factors(other_initial)
-    u4 = _as_u4(u, nph)
-    kraus = np.zeros_like(direct)
-    for q, chi in zip(roots, vecs.T):
-        if side == "photon":
-            # K_{s,k}[n, m] = q <n, s|U|m, chi_k>; weight is the atom start
-            k_members = q * np.einsum("nsmp,p->snm", u4, chi)
-            kraus += np.einsum("snm,nr,srq->mq", k_members.conj(), op, k_members)
-        else:
-            # K_{N,k}[s, s'] = q <N, s|U|chi_k, s'>; weight is the photon start
-            k_members = q * np.einsum("nsmp,m->nsp", u4, chi)
-            kraus += np.einsum("nsp,st,ntq->pq", k_members.conj(), op, k_members)
-
-    defect = max_abs(direct - kraus)
-    if defect > crosscheck_tol:
-        raise CrossCheckError(
-            f"effective-operator routes disagree by {defect:.3e} (> {crosscheck_tol:.1e})")
-    return EffectiveOperator(side, t, direct, other_initial)
+    (matrix,) = _Heisenberg(u, unitary_tol).matrices(
+        side, (op,), other_initial, _weight_factors(other_initial), crosscheck_tol)
+    return EffectiveOperator(side, t, matrix, other_initial)
 
 
 def algebra_deviation(e1: EffectiveOperator, e2: EffectiveOperator,

@@ -110,6 +110,14 @@ class TestObservableSeries:
         np.testing.assert_allclose(series.channel("oracle_sigma_z_mean"),
                                    series.channel("sigma_z_mean"), atol=1e-7)
 
+    def test_oracle_channels_track_closed_forms_from_mixed_atom_start(self):
+        # a rank-2 atom weighting puts two roots through the photon-side Kraus route
+        mixed = np.array([[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]])
+        sc = Scenario(params=JcmParams(1.0, 0.8, 0.02, 40), atom_init=mixed, magnitude=ROOT10,
+                      grid=(0.0, 12.0, 10), oracle=True)
+        series = observable_series(sc)
+        assert series.metadata["oracle_deviation_max"] < 1e-6
+
 
 class TestConservationAudit:
     def test_identity_holds_over_grid(self, fig10_series):

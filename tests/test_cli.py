@@ -76,6 +76,43 @@ class TestExitCodes:
         assert "density" in capsys.readouterr().err
 
 
+class TestInputHardening:
+    """Bad values exit 2 with one line on stderr, never a traceback or a NaN file."""
+
+    def _rejects(self, argv, tmp_path, capsys, needle):
+        out = tmp_path / "x.csv"
+        assert cli.main(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert needle in err
+        assert not out.exists()
+
+    def test_nan_coupling_rejected(self, tmp_path, capsys):
+        self._rejects(["--g", "nan"], tmp_path, capsys, "g must be finite")
+
+    def test_infinite_frequency_rejected(self, tmp_path, capsys):
+        self._rejects(["--omega", "inf"], tmp_path, capsys, "omega must be finite")
+
+    def test_non_numeric_grid_steps_rejected(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "x.csv", grid={"start": 0.0, "stop": 1.0, "steps": "abc"})
+        self._rejects(["--config", write_config(tmp_path, cfg)], tmp_path, capsys, "grid steps")
+
+    def test_non_numeric_atom_entry_rejected(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "x.csv",
+                          atom_init={"uu": "x", "ud_re": 0.0, "ud_im": 0.0, "dd": 0.0})
+        self._rejects(["--config", write_config(tmp_path, cfg)], tmp_path, capsys,
+                      "atom_init.uu")
+
+    def test_infinite_n_max_rejected(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "x.csv", n_max=float("inf"))
+        self._rejects(["--config", write_config(tmp_path, cfg)], tmp_path, capsys, "n_max")
+
+    def test_nan_tail_tolerance_rejected(self, tmp_path, capsys):
+        # with n_max "auto" a NaN bound never stops the truncation search
+        self._rejects(["--alpha-mag", "1", "--tail-tol", "nan"], tmp_path, capsys,
+                      "tail tolerance")
+
+
 class TestOutputs:
     def test_csv_shape_three_points_two_channels(self, tmp_path):
         out = tmp_path / "small.csv"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from jcsubdyn import jcm, subdyn
-from jcsubdyn.hilbert import FockSpace, annihilation, coherent_state, number_op, pauli_ops
+from jcsubdyn.hilbert import (FockSpace, annihilation, coherent_state, number_op,
+                              partial_trace, pauli_ops)
 from jcsubdyn.numerics import evolution_operator, max_abs
 
 from conftest import random_density, random_hermitian
@@ -190,6 +191,80 @@ class TestEffectiveOperator:
         with pytest.raises(subdyn.CrossCheckError):
             subdyn.effective_operator(u, number_op(params.space), "photon",
                                       random_density(rng, 2), 3.0, crosscheck_tol=0.0)
+
+
+def mixed_density(rng, dim, rank):
+    """Density matrix of exactly ``rank`` with eigenvalues bounded away from 0."""
+    m = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    vecs, _ = np.linalg.qr(m)
+    probs = rng.uniform(0.2, 1.0, rank)
+    probs /= probs.sum()
+    return (vecs * probs) @ vecs.conj().T
+
+
+class TestMixedWeightings:
+    """Multi-root weightings, which the pure starts of the CLI never produce."""
+
+    @pytest.fixture
+    def system(self, rng):
+        space = FockSpace(5)
+        t = rng.uniform(0.5, 20.0)
+        u = evolution_operator(random_hermitian(rng, 2 * space.dim), t)
+        return space, u, t
+
+    def _ops(self, space, rng):
+        pauli = pauli_ops()
+        return {
+            "photon": [annihilation(space), number_op(space), random_hermitian(rng, space.dim)],
+            "atom": [pauli.z, pauli.plus, random_hermitian(rng, 2)],
+        }
+
+    @pytest.mark.parametrize("photon_rank", [2, 6])
+    def test_both_sides_match_partial_trace_reference(self, system, rng, photon_rank):
+        space, u, t = system
+        eye_ph, eye_at = np.eye(space.dim), np.eye(2)
+        weights = {"photon": mixed_density(rng, 2, 2),
+                   "atom": mixed_density(rng, space.dim, photon_rank)}
+        for side, ops in self._ops(space, rng).items():
+            weight = weights[side]
+            assert len(subdyn._weight_factors(weight)[0]) == np.linalg.matrix_rank(weight) >= 2
+            for op in ops:
+                if side == "photon":
+                    dressed = u.conj().T @ np.kron(op, eye_at) @ u
+                    ref = partial_trace(dressed @ np.kron(eye_ph, weight), "atom")
+                else:
+                    dressed = u.conj().T @ np.kron(eye_ph, op) @ u
+                    ref = partial_trace(dressed @ np.kron(weight, eye_at), "photon")
+                eff = subdyn.effective_operator(u, op, side, weight, t)
+                np.testing.assert_allclose(eff.matrix, ref, rtol=0, atol=1e-12)
+
+    def test_multi_operator_core_matches_single_calls(self, system, rng):
+        space, u, t = system
+        weights = {"photon": mixed_density(rng, 2, 2), "atom": mixed_density(rng, space.dim, 3)}
+        core = subdyn._Heisenberg(u)
+        for side, ops in self._ops(space, rng).items():
+            weight = weights[side]
+            together = core.matrices(side, ops, weight, subdyn._weight_factors(weight))
+            assert len(together) == len(ops)
+            for op, matrix in zip(ops, together):
+                single = subdyn.effective_operator(u, op, side, weight, t).matrix
+                np.testing.assert_allclose(matrix, single, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("side", ["photon", "atom"])
+    def test_dropped_weight_root_trips_crosscheck(self, system, rng, monkeypatch, side):
+        space, u, t = system
+        weight = mixed_density(rng, 2 if side == "photon" else space.dim, 2)
+        op = self._ops(space, rng)[side][0]
+        subdyn.effective_operator(u, op, side, weight, t)  # intact factors agree
+        factors = subdyn._weight_factors
+
+        def drop_smallest_root(w):
+            roots, vecs = factors(w)
+            return roots[1:], vecs[:, 1:]
+
+        monkeypatch.setattr(subdyn, "_weight_factors", drop_smallest_root)
+        with pytest.raises(subdyn.CrossCheckError):
+            subdyn.effective_operator(u, op, side, weight, t)
 
 
 class TestAlgebraDeviation:
