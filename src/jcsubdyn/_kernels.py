@@ -48,6 +48,12 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 USING_NUMBA = HAVE_NUMBA and os.environ.get("JCSUBDYN_DISABLE_NUMBA", "0") != "1"
 
 
+#: Grid points per table block of the numpy lane.  A block's tables (about
+#: T_BLOCK * (n_max + 2) * 24 bytes each) stay cache-sized at the usual
+#: truncations, and peak memory no longer grows with the grid length.
+T_BLOCK = 512
+
+
 def active_lane() -> str:
     return "numba" if USING_NUMBA else "numpy"
 
@@ -167,8 +173,21 @@ def _channel_sums_impl(ts, n_max, half_det, g, omega, p, p1, alpha,
 
 def channel_sums_numpy(ts, n_max, half_det, g, omega, p, p1, alpha,
                        rho_uu, rho_dd, rho_ud):
-    """Table-based (broadcasting) lane of :func:`channel_sums`."""
+    """Table-based (broadcasting) lane of :func:`channel_sums`.
+
+    The tables are built and reduced one block of ``T_BLOCK`` grid points at
+    a time, so their memory stays O(T_BLOCK * n_max) for any grid length.
+    """
     ts = np.asarray(ts, dtype=np.float64)
+    blocks = [_channel_sums_block(ts[i:i + T_BLOCK], n_max, half_det, g, omega, p, p1,
+                                  alpha, rho_uu, rho_dd, rho_ud)
+              for i in range(0, max(len(ts), 1), T_BLOCK)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
+                        rho_uu, rho_dd, rho_ud):
+    """Every channel sum over one (len(ts), n_max + 2) table pair."""
     v, w = corr_tables_numpy(ts, half_det, g, n_max + 2)
     ns = np.arange(n_max + 1, dtype=np.float64)
     rho_du = np.conj(rho_ud)
@@ -250,8 +269,3 @@ else:
                                   np.asarray(p1, dtype=np.float64),
                                   complex(alpha), float(rho_uu), float(rho_dd),
                                   complex(rho_ud))
-
-
-def channel_sums_compiled(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rho_ud):
-    """Kernel-lane entry point used by the benchmark; same as channel_sums."""
-    return channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rho_ud)

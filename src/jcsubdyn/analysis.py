@@ -10,10 +10,12 @@ Grid convention: grid values are in units of g*t when g > 0; for a free run
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels, hilbert, jcm, subdyn
 from .numerics import max_abs, require_hermitian
@@ -352,16 +354,35 @@ class CollapseRevivalFeatures:
     photon_peak_time: float
 
 
+#: Window cells reduced at once by :func:`_rolling`.  Its temporaries stay
+#: at 512 KB however dense the grid; unblocked they are steps x window width.
+_WINDOW_CELLS = 1 << 16
+
+
 def _rolling(y: np.ndarray, half: int):
-    """Centered rolling mean / std / max-deviation with edge clamping."""
+    """Centered rolling mean / std / max-deviation with edge clamping.
+
+    Interior points reduce rows of a sliding window view, a bounded number
+    of rows at a time; the ``2 * half`` clamped edge windows are reduced one
+    at a time.  Both use the same numpy reductions on the same segments, so
+    the values do not depend on which branch a point falls in.
+    """
     n = len(y)
     mean = np.empty(n)
     std = np.empty(n)
     dev = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        seg = y[lo:hi]
+    if n > 2 * half:
+        win = sliding_window_view(y, 2 * half + 1)
+        rows = max(1, _WINDOW_CELLS // win.shape[1])
+        for lo in range(0, len(win), rows):
+            block = win[lo:lo + rows]
+            m = block.mean(axis=1)
+            out = slice(half + lo, half + lo + len(block))
+            mean[out] = m
+            std[out] = block.std(axis=1)
+            dev[out] = np.abs(block - m[:, None]).max(axis=1)
+    for i in itertools.chain(range(min(half, n)), range(max(half, n - half), n)):
+        seg = y[max(0, i - half):min(n, i + half + 1)]
         m = seg.mean()
         mean[i] = m
         std[i] = seg.std()
@@ -370,17 +391,9 @@ def _rolling(y: np.ndarray, half: int):
 
 
 def _runs(mask: np.ndarray):
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
+    """Inclusive (start, end) index pairs of the True runs of ``mask``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def collapse_revival_features(series: TimeSeries, sigma_channel: str = "sigma_z_upper",

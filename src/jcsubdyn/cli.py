@@ -210,6 +210,9 @@ def _resolve(cfg: dict, tail_tol: float):
     grid = (_finite(grid_cfg["start"], "grid start"), _finite(grid_cfg["stop"], "grid stop"),
             int(steps))
 
+    if not isinstance(merged["oracle"], bool):
+        raise ConfigError(f"oracle must be true or false, got {merged['oracle']!r}")
+
     fmt = merged["output"]["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
@@ -219,7 +222,7 @@ def _resolve(cfg: dict, tail_tol: float):
         label = os.path.splitext(os.path.basename(str(merged["output"]["path"])))[0]
         scenario = analysis.Scenario(
             params=params, atom_init=rho, magnitude=mag, phase=phase, grid=grid,
-            channels=tuple(merged["channels"]), oracle=bool(merged["oracle"]),
+            channels=tuple(merged["channels"]), oracle=merged["oracle"],
             label=label or "scenario")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -239,12 +242,6 @@ def _resolve(cfg: dict, tail_tol: float):
         "output": {"format": fmt, "path": merged["output"]["path"]},
     }
     return scenario, (fmt, merged["output"]["path"]), echo, tail_warning
-
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -276,10 +273,9 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
             "# metadata: " + json.dumps(_jsonable(meta), sort_keys=True, separators=(",", ":")),
             "gt," + ",".join(names),
         ]
-        cols = [series.channels[n] for n in names]
-        for i, gt in enumerate(series.gt):
-            row = [_fmt_float(gt)] + [_fmt_float(col[i]) for col in cols]
-            lines.append(",".join(row))
+        row = ",".join(["%.17g"] * (1 + len(names)))
+        table = np.column_stack([series.gt] + [series.channels[n] for n in names])
+        lines.extend(row % tuple(values) for values in table.tolist())
         _atomic_write(path, "\n".join(lines) + "\n")
     elif fmt == "json":
         doc = {

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "adjoint",
     "max_abs",
-    "trace",
     "require_finite",
     "hermiticity_defect",
     "require_hermitian",
@@ -41,10 +40,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-abs norm; 0 for empty input."""
     return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-def trace(m: np.ndarray) -> complex:
-    return complex(np.trace(m))
 
 
 def require_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:

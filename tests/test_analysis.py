@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jcsubdyn import jcm, subdyn
+from jcsubdyn import analysis, jcm, subdyn
 from jcsubdyn.analysis import (
     Scenario,
     collapse_revival_features,
@@ -214,3 +214,53 @@ class TestCollapseRevival:
         series = observable_series(fig_scenario(10.0, grid=(0.0, 1.0, 10)))
         with pytest.raises(ValueError, match="too short"):
             collapse_revival_features(series)
+
+
+def _rolling_loop(y, half):
+    """Per-index reference for ``analysis._rolling``."""
+    n = len(y)
+    mean, std, dev = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(n):
+        seg = y[max(0, i - half):min(n, i + half + 1)]
+        m = seg.mean()
+        mean[i] = m
+        std[i] = seg.std()
+        dev[i] = np.abs(seg - m).max()
+    return mean, std, dev
+
+
+def _runs_loop(mask):
+    """Per-index reference for ``analysis._runs``."""
+    runs, start = [], None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask) - 1))
+    return runs
+
+
+class TestWindowHelpers:
+    """The vectorised window helpers must reproduce their loop references exactly."""
+
+    @pytest.mark.parametrize("half", [1, 3, 15, 22])
+    def test_rolling_bit_identical_to_loop(self, rng, half):
+        # 2*half + 2 points: the two clamped edge ranges overlap in their windows;
+        # 4000 points span several row blocks of the window view
+        for n in (2 * half, 2 * half + 1, 2 * half + 2, 5 * half + 7, 400, 4000):
+            y = rng.standard_normal(n) * rng.uniform(0.1, 10.0) + rng.uniform(-1.0, 1.0)
+            for got, want in zip(analysis._rolling(y, half), _rolling_loop(y, half)):
+                assert np.array_equal(got, want)
+
+    def test_runs_match_loop(self, rng):
+        masks = [np.ones(17, bool), np.zeros(17, bool), np.zeros(0, bool),
+                 np.array([False, True, True]), np.array([True]), np.array([False])]
+        masks += [rng.random(n) < q for n in (1, 2, 9, 64, 501) for q in (0.2, 0.5, 0.9)]
+        masks += [np.concatenate([rng.random(40) < 0.5, np.ones(5, bool)]) for _ in range(3)]
+        for mask in masks:
+            got = analysis._runs(mask)
+            assert got == _runs_loop(mask)
+            assert all(type(i) is int for pair in got for i in pair)

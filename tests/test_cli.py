@@ -107,6 +107,12 @@ class TestInputHardening:
         cfg = base_config(tmp_path / "x.csv", n_max=float("inf"))
         self._rejects(["--config", write_config(tmp_path, cfg)], tmp_path, capsys, "n_max")
 
+    def test_non_boolean_oracle_rejected(self, tmp_path, capsys):
+        # bool("false") is True: a string must not switch the brute-force oracle on
+        cfg = base_config(tmp_path / "x.csv", oracle="false")
+        self._rejects(["--config", write_config(tmp_path, cfg)], tmp_path, capsys,
+                      "oracle must be true or false")
+
     def test_nan_tail_tolerance_rejected(self, tmp_path, capsys):
         # with n_max "auto" a NaN bound never stops the truncation search
         self._rejects(["--alpha-mag", "1", "--tail-tol", "nan"], tmp_path, capsys,

@@ -1,4 +1,6 @@
-"""The numba and numpy kernel lanes must be interchangeable."""
+"""Kernel lanes agree, and t-blocking the numpy lane changes neither values nor memory growth."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,3 +62,43 @@ def test_lane_selection_reports():
     assert _kernels.active_lane() in ("numba", "numpy")
     if _kernels.USING_NUMBA:
         assert _kernels.HAVE_NUMBA
+
+
+@pytest.mark.parametrize("steps", [3 * _kernels.T_BLOCK + 137, 4 * _kernels.T_BLOCK])
+@pytest.mark.parametrize("case", CASES + [(-0.15, 0.02, 86, 40.0, 0.8, 0.3 + 0.2j)])
+def test_blocked_sums_match_one_table(case, steps):
+    """Blocked sums equal the formulas over one unblocked table pair to roundoff."""
+    args = list(_args(*case))
+    args[0] = np.linspace(0.0, 900.0, steps)
+    blocked = _kernels.channel_sums_numpy(*args)
+    whole = _kernels._channel_sums_block(*args)
+    for got, want in zip(blocked, whole):
+        assert got.shape == want.shape == (steps,)
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_grid_within_one_block_is_unchanged(case):
+    args = _args(*case)
+    assert len(args[0]) < _kernels.T_BLOCK
+    for got, want in zip(_kernels.channel_sums_numpy(*args), _kernels._channel_sums_block(*args)):
+        assert np.array_equal(got, want)
+
+
+def test_table_memory_bounded_on_long_grid():
+    """50k points at n_max 86: one unblocked v/w table pair alone takes ~105 MB.
+
+    The outputs are ~4.4 MB; evaluating the whole grid as one block peaks
+    near 700 MB of traced allocations.
+    """
+    args = list(_args(-0.15, 0.02, 86, 40.0, 0.8, 0.3 + 0.2j))
+    args[0] = np.linspace(0.0, 1e4, 50_000)
+    tracemalloc.start()
+    try:
+        out = _kernels.channel_sums_numpy(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out[0]) == 50_000
+    assert peak < 40e6, f"peak traced allocation {peak / 1e6:.1f} MB"

@@ -24,10 +24,6 @@ def test_adjoint_is_an_involution(rng):
     np.testing.assert_array_equal(numerics.adjoint(numerics.adjoint(m)), m)
 
 
-def test_trace_of_identity():
-    assert numerics.trace(np.eye(3, dtype=np.complex128)) == 3
-
-
 def test_pauli_x_squares_to_identity():
     sx = pauli_ops().x
     np.testing.assert_allclose(sx @ sx, np.eye(2), atol=1e-15)
