@@ -146,40 +146,98 @@ def _closed_channels(scenario: Scenario):
     return out, coh, lhs
 
 
-def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float):
-    """Brute-force versions of the closed-form channels, one propagator per point.
+#: Per-point state check of the oracle: max gap of the evolved norms from
+#: their t = 0 value and of the up/down overlap from 0.
+_STATE_TOL = 1e-10
+#: Gap allowed between the Heisenberg-route and state values of a channel;
+#: the same ``crosscheck_tol`` the two Heisenberg routes keep between them.
+_HEISENBERG_TOL = 1e-9
+#: Grid indices at which the oracle also runs both Heisenberg routes: both ends.
+_HEISENBERG_POINTS = (0, -1)
 
-    The weighting states and their factorizations are fixed per scenario.  At
-    each point one checked U(t) dresses a and N against the atom start and
-    sigma_z against the photon start.
+
+def _state_channels(psi: np.ndarray, rho_atom: np.ndarray, a_shift: np.ndarray,
+                    n_diag: np.ndarray, z_diag: np.ndarray):
+    """Oracle channel values from evolved states ``psi[t, s] = U(t)|alpha, s>``.
+
+    With G_X[t, s, s'] = <psi_s|X|psi_s'>, a photon channel is
+    <X>(t) = Tr(rho_atom G_X) and the dressed inversion is the 2x2 matrix
+    G_{I⊗sigma_z}.  ``a_shift`` is the superdiagonal of a ⊗ I at offset
+    ATOM_DIM, ``n_diag`` and ``z_diag`` the diagonals of N ⊗ I and I ⊗ sigma_z.
+    Returns the rows (|<a>|, <N>, <sigma_z>, lower, upper) and the Gram
+    matrices G_I.
+    """
+    shift = hilbert.ATOM_DIM
+    ket = psi.transpose(0, 2, 1)
+    bra = np.conjugate(psi)
+    gram = bra @ ket
+    # one scratch array holds each <psi_s|X in turn: every X here is diagonal,
+    # or for a ⊗ I a superdiagonal ATOM_DIM indices off, so <psi_s|X is elementwise
+    g_n = np.multiply(bra, n_diag, out=bra) @ ket
+    g_z = np.multiply(np.conjugate(psi, out=bra), z_diag, out=bra) @ ket
+    np.conjugate(psi, out=bra)
+    bra[..., :-shift] *= a_shift
+    g_a = bra[..., :-shift] @ ket[:, shift:]
+    lower, upper = np.linalg.eigvalsh(g_z).T
+    weigh = [(rho_atom.T * g).sum(axis=(1, 2)) for g in (g_a, g_n, g_z)]  # Tr(rho G)
+    return np.array([np.abs(weigh[0]), weigh[1].real, weigh[2].real, lower, upper]), gram
+
+
+def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float):
+    """Brute-force versions of the closed-form channels, from two evolved states.
+
+    The composite start is sum_{ss'} rho_ss' |alpha, s><alpha, s'|, so every
+    channel is an expectation value in psi_s(t) = U(t)|alpha, s>.  The
+    scenario's one eigendecomposition, checked once, evolves both states a
+    block of ``_kernels.T_BLOCK`` points at a time.  At every point their
+    norms and overlap are checked (``_STATE_TOL``); at ``_HEISENBERG_POINTS``
+    both effective-operator routes run as well and their channel values must
+    match (``_HEISENBERG_TOL``).
     """
     p = scenario.params
-    space = p.space
-    ham = jcm.hamiltonian(p)
-    prop = subdyn.SpectralPropagator(ham.total)
-    photon_ops = (hilbert.annihilation(space), hilbert.number_op(space))
-    atom_ops = (hilbert.pauli_ops().z,)
+    h = jcm.hamiltonian(p).total
+    prop = subdyn.SpectralPropagator(h)
+    prop.require_eigensystem(h)
     rho_atom = require_hermitian(scenario.atom_init, what="weighting state")
+    photon_ops = (hilbert.annihilation(p.space), hilbert.number_op(p.space))
+    sigma_z = hilbert.pauli_ops().z
+    layout = (np.diag(hilbert.embed_photon(photon_ops[0]), hilbert.ATOM_DIM),
+              np.diag(hilbert.embed_photon(photon_ops[1])).real,
+              np.diag(hilbert.embed_atom(sigma_z, p.space)).real)
+    amps = coh.amplitudes
+    kets = np.array([np.kron(amps, spin) for spin in np.eye(hilbert.ATOM_DIM)])  # |alpha, s>
+    norm0 = float(np.vdot(amps, amps).real)
+    ts = scenario.times()
+    gts = scenario.gt_values()
+    values = np.empty((5, len(ts)))
+    for lo in range(0, len(ts), _kernels.T_BLOCK):
+        block = slice(lo, lo + _kernels.T_BLOCK)
+        values[:, block], gram = _state_channels(prop.evolve(kets, ts[block]), rho_atom,
+                                                 *layout)
+        defect = np.maximum(np.abs(np.diagonal(gram, axis1=1, axis2=2) - norm0).max(axis=1),
+                            np.abs(gram[:, hilbert.UP, hilbert.DOWN]))
+        worst = int(np.argmax(defect))
+        if not defect[worst] <= _STATE_TOL:
+            raise subdyn.CrossCheckError(
+                f"evolved states lose norm or orthogonality at gt = {gts[lo + worst]:g}: "
+                f"defect {defect[worst]:.3e} (> {_STATE_TOL:.1e})")
+
     rho_photon = require_hermitian(coh.density(), what="weighting state")
     atom_factors = subdyn._weight_factors(rho_atom)
     photon_factors = subdyn._weight_factors(rho_photon)
-    amps = coh.amplitudes
-    ts = scenario.times()
-    nt = len(ts)
-    abs_a = np.empty(nt)
-    quasi_n = np.empty(nt)
-    mean_z = np.empty(nt)
-    upper = np.empty(nt)
-    lower = np.empty(nt)
-    for i, t in enumerate(ts):
-        core = subdyn._Heisenberg(prop(t))
+    for k in _HEISENBERG_POINTS:
+        core = subdyn._Heisenberg(prop(ts[k]))
         eff_a, eff_n = core.matrices("photon", photon_ops, rho_atom, atom_factors)
-        (eff_z,) = core.matrices("atom", atom_ops, rho_photon, photon_factors)
-        abs_a[i] = abs(amps.conj() @ eff_a @ amps)
-        quasi_n[i] = (amps.conj() @ eff_n @ amps).real
-        mean_z[i] = np.trace(eff_z @ rho_atom).real
-        evals = np.linalg.eigvalsh(eff_z)
-        lower[i], upper[i] = float(evals[0]), float(evals[1])
+        (eff_z,) = core.matrices("atom", (sigma_z,), rho_photon, photon_factors)
+        routes = (abs(amps.conj() @ eff_a @ amps), (amps.conj() @ eff_n @ amps).real,
+                  np.trace(eff_z @ rho_atom).real, *np.linalg.eigvalsh(eff_z))
+        gap = float(np.max(np.abs(np.array(routes) - values[:, k])))
+        if not gap <= _HEISENBERG_TOL:
+            raise subdyn.CrossCheckError(
+                f"Heisenberg routes and evolved states disagree at gt = {gts[k]:g} "
+                f"by {gap:.3e} (> {_HEISENBERG_TOL:.1e})")
+
+    abs_a, quasi_n, mean_z, lower, upper = values
     return {
         "oracle_abs_quasi_a": abs_a,
         "oracle_quasi_n": quasi_n,
@@ -320,11 +378,14 @@ def qpl_dominance(t: float, atom_init: np.ndarray, params: jcm.JcmParams,
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (params.n_max + 1,):
         raise ValueError("weights must have one entry per retained photon number")
-    v, w = jcm._corr_row(t, params)
+    # one sector past the truncation: D_n needs sectors n - 1 and n only, so,
+    # as in the qpl_ratio channel, it runs to n = n_max; A_n and C_n stop below
+    v, w = jcm._corr_row(t, params, past_top=1)
+    a, c, d = jcm._dressing_coefficients(v, w, np.arange(params.n_max + 1), atom_init)
+    a, c = a[:-1], c[:-1]
     ns = np.arange(params.n_max)
-    a, c, d = jcm._dressing_coefficients(v, w, ns, atom_init)
     dev = np.abs(a - 1.0)
-    num = float(weights[:-1] @ (np.abs(c) + np.abs(d)))
+    num = float(weights[:-1] @ np.abs(c) + weights @ np.abs(d))
     den = float(weights[:-1] @ np.abs(a))
     half_det = abs(params.half_detuning)
     with np.errstate(divide="ignore"):

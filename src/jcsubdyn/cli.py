@@ -284,7 +284,7 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
             "channels": {n: [float(x) for x in series.channels[n]] for n in names},
             "metadata": _jsonable(meta),
         }
-        _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     else:
         raise OutputError(f"unknown output format {fmt!r}")
 
@@ -307,7 +307,13 @@ def run_scenario(cfg: dict, tail_tol: float = hilbert.DEFAULT_TAIL_TOL) -> int:
     if tail_warning:
         print(f"warning: coherent tail mass exceeds {tail_tol:g} at n_max={scenario.params.n_max}; "
               "results include truncation error", file=sys.stderr)
-    series = analysis.observable_series(scenario, tail_tol)
+    with np.errstate(all="ignore"):  # a non-finite result is refused below, in one line
+        series = analysis.observable_series(scenario, tail_tol)
+    for name, values in {"gt": series.gt, **series.channels}.items():
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise ConfigError(f"{name} is not finite at {bad} of {len(values)} grid points; "
+                              "nothing written")
     if scenario.oracle:
         worst = series.metadata.get("oracle_deviation_max", 0.0)
         if worst > CROSSCHECK_TOL:

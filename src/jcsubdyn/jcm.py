@@ -98,6 +98,11 @@ class JcmParams:
     n_max: int
 
     def __post_init__(self):
+        for name in ("omega", "omega0", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.detuning):
+            raise ValueError(f"detuning omega - omega0 must be finite, got {self.detuning!r}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.g < 0:
@@ -154,14 +159,17 @@ def correlation_factors(n: int, t: float, params: JcmParams) -> CorrelationFacto
     return CorrelationFactors(n, lam, theta, v, w)
 
 
-def correlation_tables(ts: np.ndarray, params: JcmParams):
-    """(v, w) tables over the grid; column j holds sector n = j - 1."""
+def correlation_tables(ts: np.ndarray, params: JcmParams, past_top: int = 0):
+    """(v, w) tables over the grid; column j holds sector n = j - 1.
+
+    The columns run to sector n_max, or ``past_top`` sectors further.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    return _kernels.corr_tables(ts, params.half_detuning, params.g, params.n_max + 2)
+    return _kernels.corr_tables(ts, params.half_detuning, params.g, params.n_max + 2 + past_top)
 
 
-def _corr_row(t: float, params: JcmParams):
-    v, w = correlation_tables(np.array([t]), params)
+def _corr_row(t: float, params: JcmParams, past_top: int = 0):
+    v, w = correlation_tables(np.array([t]), params, past_top)
     return v[0], w[0]
 
 

@@ -59,6 +59,11 @@ __all__ = [
 ]
 
 
+#: Default gap allowed in U†U = I, and in the held eigensystem of a
+#: :class:`SpectralPropagator` (relative HV = VE and V†V = I).
+_UNITARY_TOL = 1e-10
+
+
 class CrossCheckError(RuntimeError):
     """Two supposedly equivalent computation routes disagreed."""
 
@@ -101,13 +106,48 @@ def assemble_hamiltonian(h_photon: np.ndarray, h_atom: np.ndarray,
 
 
 class SpectralPropagator:
-    """exp(-i t H) for many times from a single eigendecomposition."""
+    """exp(-i t H) for many times from a single eigendecomposition H = V E V†.
+
+    Calling it builds the dense propagator at one time; :meth:`evolve`
+    propagates a few kets over many times from the same E and V without
+    forming any propagator.
+    """
 
     def __init__(self, h: np.ndarray):
         self.evals, self.evecs = eigh_hermitian(np.asarray(h, dtype=np.complex128))
 
     def __call__(self, t: float) -> np.ndarray:
         return (self.evecs * np.exp(-1j * t * self.evals)) @ self.evecs.conj().T
+
+    def evolve(self, kets: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """exp(-i t H)|k> = V (e^{-iEt} ⊙ V†|k>) for every t in ``ts`` and row k of ``kets``.
+
+        Returns shape (len(ts), len(kets), dim).  The cost is one matrix
+        product, O(dim²) per state and time; memory is len(ts) x len(kets)
+        x dim complex entries, so callers bound it by passing ``ts`` in blocks.
+        """
+        kets = np.asarray(kets, dtype=np.complex128)
+        ts = np.asarray(ts, dtype=np.float64)
+        coeffs = kets @ self.evecs.conj()  # row j holds (V†|k_j>)^T
+        spectral = np.exp(-1j * np.multiply.outer(ts, self.evals))[:, None, :] * coeffs
+        dim = self.evecs.shape[0]
+        return (spectral.reshape(-1, dim) @ self.evecs.T).reshape(len(ts), len(kets), dim)
+
+    def require_eigensystem(self, h: np.ndarray) -> None:
+        """Check the held decomposition of ``h``; :class:`CrossCheckError` if it is off.
+
+        Checks max|HV - VE| relative to max|H|, and max|V†V - I|, against ``_UNITARY_TOL``.
+        """
+        h = np.asarray(h, dtype=np.complex128)
+        scale = max_abs(h)
+        residual = max_abs(h @ self.evecs - self.evecs * self.evals)
+        if scale > 0.0:
+            residual /= scale
+        defect = max_abs(self.evecs.conj().T @ self.evecs - np.eye(len(self.evals)))
+        if not (residual <= _UNITARY_TOL and defect <= _UNITARY_TOL):
+            raise CrossCheckError(
+                f"eigendecomposition is off: relative |HV - VE| {residual:.3e}, "
+                f"|V†V - I| {defect:.3e} (> {_UNITARY_TOL:.1e})")
 
 
 @dataclass(frozen=True)
@@ -165,7 +205,7 @@ def _as_u4(u: np.ndarray, nph: int) -> np.ndarray:
 
 
 def kraus_extract(u: np.ndarray, side: str, coherent: CoherentState | None = None,
-                  unitary_tol: float = 1e-10) -> KrausSet:
+                  unitary_tol: float = _UNITARY_TOL) -> KrausSet:
     """Kraus family from matrix elements of a composite propagator.
 
     Atom side contracts the photon input leg with the coherent amplitudes
@@ -248,7 +288,7 @@ class _Heisenberg:
     (no Kronecker products), and each route is a few matrix products.
     """
 
-    def __init__(self, u: np.ndarray, unitary_tol: float = 1e-10):
+    def __init__(self, u: np.ndarray, unitary_tol: float = _UNITARY_TOL):
         u = require_unitary(np.asarray(u, dtype=np.complex128), unitary_tol, "propagator")
         self.dim = u.shape[0]
         self.nph = self.dim // ATOM_DIM
@@ -319,7 +359,7 @@ class _Heisenberg:
 def effective_operator(u: np.ndarray, op: np.ndarray, side: str,
                        other_initial: np.ndarray, t: float = 0.0,
                        crosscheck_tol: float = 1e-9,
-                       unitary_tol: float = 1e-10) -> EffectiveOperator:
+                       unitary_tol: float = _UNITARY_TOL) -> EffectiveOperator:
     """Effective operator of ``op`` on ``side``, weighted by the other side's start.
 
     Computes both the direct contraction Tr_other[U†(O⊗I)U (I⊗rho_other)]

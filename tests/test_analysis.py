@@ -12,7 +12,7 @@ from jcsubdyn.analysis import (
     qpl_dominance,
     sigma_z_spectrum,
 )
-from jcsubdyn.hilbert import coherent_state, poisson_weights
+from jcsubdyn.hilbert import annihilation, coherent_state, number_op, pauli_ops, poisson_weights
 from jcsubdyn.jcm import JcmParams
 
 EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -119,6 +119,95 @@ class TestObservableSeries:
         assert series.metadata["oracle_deviation_max"] < 1e-6
 
 
+MIXED = np.array([[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]])
+
+
+def _heisenberg_loop(scenario):
+    """Per-t reference for ``analysis._oracle_channels``: both routes of
+    ``effective_operator`` on one propagator per point."""
+    p = scenario.params
+    coh = scenario.coherent()
+    amps, rho = coh.amplitudes, scenario.atom_init
+    prop = subdyn.SpectralPropagator(jcm.hamiltonian(p).total)
+    a_op, n_op = annihilation(p.space), number_op(p.space)
+    rows = []
+    for t in scenario.times():
+        u = prop(t)
+        eff_a = subdyn.effective_operator(u, a_op, "photon", rho, t).matrix
+        eff_n = subdyn.effective_operator(u, n_op, "photon", rho, t).matrix
+        eff_z = subdyn.effective_operator(u, pauli_ops().z, "atom", coh.density(), t).matrix
+        lower, upper = np.linalg.eigvalsh(eff_z)
+        rows.append((abs(amps.conj() @ eff_a @ amps), (amps.conj() @ eff_n @ amps).real,
+                     np.trace(eff_z @ rho).real, lower, upper))
+    return dict(zip(("oracle_abs_quasi_a", "oracle_quasi_n", "oracle_sigma_z_mean",
+                     "oracle_sigma_z_lower", "oracle_sigma_z_upper"), np.array(rows).T))
+
+
+class TestSchrodingerOracle:
+    """The oracle's channels come from two evolved states; its checks must trip."""
+
+    def _scenario(self, rho):
+        params = JcmParams(1.0, 0.8, 0.02, 40)
+        return Scenario(params=params, atom_init=rho, magnitude=ROOT10,
+                        grid=(0.0, 40.0, 23), oracle=True)
+
+    def _run(self, scenario):
+        coh = scenario.coherent()
+        lhs = coh.mean_photons + 0.5 * (scenario.atom_init[0, 0].real
+                                        - scenario.atom_init[1, 1].real)
+        return analysis._oracle_channels(scenario, coh, lhs)
+
+    @pytest.mark.parametrize("rho", [EXCITED, MIXED], ids=["pure", "mixed"])
+    def test_matches_heisenberg_loop(self, monkeypatch, rho):
+        # blocks of 5 points: several full blocks and a short last one
+        monkeypatch.setattr(analysis._kernels, "T_BLOCK", 5)
+        sc = self._scenario(rho)
+        got = self._run(sc)
+        ref = _heisenberg_loop(sc)
+        for name, want in ref.items():
+            np.testing.assert_allclose(got[name], want, rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(got["oracle_sigma_z_offset"],
+                                   0.5 * (ref["oracle_sigma_z_upper"]
+                                          + ref["oracle_sigma_z_lower"]), rtol=0, atol=1e-12)
+
+    def _perturb_eigenvector(self, monkeypatch, scale):
+        init = subdyn.SpectralPropagator.__init__
+
+        def perturbed(prop, h):
+            init(prop, h)
+            prop.evecs = prop.evecs.copy()
+            prop.evecs[:, 3] *= 1.0 + scale
+
+        monkeypatch.setattr(subdyn.SpectralPropagator, "__init__", perturbed)
+
+    def test_perturbed_eigenvector_fails_scenario_check(self, monkeypatch):
+        self._perturb_eigenvector(monkeypatch, 1e-6)
+        with pytest.raises(subdyn.CrossCheckError, match="eigendecomposition"):
+            self._run(self._scenario(MIXED))
+
+    def test_perturbed_eigenvector_fails_state_check(self, monkeypatch):
+        self._perturb_eigenvector(monkeypatch, 1e-6)
+        monkeypatch.setattr(subdyn.SpectralPropagator, "require_eigensystem",
+                            lambda prop, h: None)
+        with pytest.raises(subdyn.CrossCheckError, match="norm or orthogonality"):
+            self._run(self._scenario(MIXED))
+
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    def test_heisenberg_points_catch_a_perturbed_state_value(self, monkeypatch, end):
+        state_channels = analysis._state_channels
+
+        def perturbed(*args):
+            values, gram = state_channels(*args)
+            values[1, end] += 1e-7  # quasi_n, below cli.CROSSCHECK_TOL
+            return values, gram
+
+        sc = self._scenario(MIXED)
+        self._run(sc)  # intact states agree with the routes
+        monkeypatch.setattr(analysis, "_state_channels", perturbed)
+        with pytest.raises(subdyn.CrossCheckError, match="Heisenberg routes"):
+            self._run(sc)
+
+
 class TestConservationAudit:
     def test_identity_holds_over_grid(self, fig10_series):
         audit = conservation_audit(fig10_series, EXCITED, 10.0)
@@ -176,6 +265,16 @@ class TestQplDominance:
         m = qpl_dominance(1.0, EXCITED, p, poisson_weights(4.0, p.n_max))
         expected = p.g * np.sqrt(np.arange(1, p.n_max + 1)) / abs(p.half_detuning)
         np.testing.assert_allclose(m.rabi_over_detuning, expected, atol=1e-14)
+
+    def test_ratio_matches_qpl_ratio_channel(self):
+        # a short truncation makes the top-sector D term p(n_max)|D_{n_max}| visible
+        sc = Scenario(params=JcmParams(1.0, 0.8, 0.02, 12), atom_init=MIXED, magnitude=3.0,
+                      grid=(0.0, 20.0, 41))
+        channel = observable_series(sc).channel("qpl_ratio")
+        weights = sc.coherent().weights()
+        ratios = [qpl_dominance(t, MIXED, sc.params, weights).ratio for t in sc.times()]
+        assert channel[-1] > 0.9
+        np.testing.assert_allclose(ratios, channel, rtol=0, atol=1e-12)
 
     def test_weight_shape_validated(self):
         p = JcmParams(1.0, 0.8, 0.02, 20)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from jcsubdyn import cli
 
@@ -117,6 +118,39 @@ class TestInputHardening:
         # with n_max "auto" a NaN bound never stops the truncation search
         self._rejects(["--alpha-mag", "1", "--tail-tol", "nan"], tmp_path, capsys,
                       "tail tolerance")
+
+    def test_overflowing_detuning_rejected(self, tmp_path, capsys):
+        # each input is finite, but omega - omega0 is not
+        self._rejects(["--omega", "1e308", "--omega0=-1e308", "--g", "0.02", "--alpha-mag", "1",
+                       "--grid", "0", "1", "3", "--format", "json"], tmp_path, capsys,
+                      "detuning omega - omega0 must be finite")
+
+    def test_library_params_must_be_finite(self):
+        from jcsubdyn.jcm import JcmParams
+
+        for args in ((math.nan, 1.0, 0.02, 5), (1.0, math.inf, 0.02, 5), (1.0, 1.0, math.nan, 5),
+                     (1e308, -1e308, 0.02, 5)):
+            with pytest.raises(ValueError, match="must be finite"):
+                JcmParams(*args)
+
+    def test_non_finite_output_refused(self, tmp_path, capsys):
+        # valid inputs whose phases omega * t overflow to non-finite channel values
+        self._rejects(["--omega", "1e308", "--omega0", "1e308", "--g", "0.02", "--alpha-mag", "1",
+                       "--grid", "0", "1", "3", "--format", "json"], tmp_path, capsys,
+                      "is not finite at 2 of 3 grid points")
+
+    def test_json_output_never_holds_nan(self, tmp_path):
+        from jcsubdyn import analysis
+        from jcsubdyn.jcm import JcmParams
+
+        scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
+                                     atom_init=np.diag([1.0, 0.0]).astype(complex))
+        series = analysis.TimeSeries(scenario, np.array([0.0, 1.0]),
+                                     {"quasi_n": np.array([0.0, math.nan])}, {})
+        out = tmp_path / "nan.json"
+        with pytest.raises(ValueError, match="JSON"):
+            cli.emit_output(series, "json", str(out), {})
+        assert not out.exists()
 
 
 class TestOutputs:
@@ -261,6 +295,25 @@ class TestBundledFigureConfig:
             channels=tuple(echo["channels"]), oracle=echo["oracle"])
         channels = {name: rows[:, i] for i, name in enumerate(header) if name != "gt"}
         return analysis.TimeSeries(scenario, rows[:, 0], channels, {})
+
+    def test_figure1_with_oracle_cross_checks_every_point(self, tmp_path, monkeypatch):
+        repo_config = os.path.join(os.path.dirname(__file__), "..", "configs", "figure1.json")
+        with open(repo_config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for scenario in doc["scenarios"]:
+            scenario["oracle"] = True
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--config", write_config(tmp_path, doc, "figure1_oracle.json")]) == 0
+        for scenario in doc["scenarios"]:
+            comments, header, rows = load_csv(tmp_path / scenario["output"]["path"])
+            meta = json.loads(next(ln for ln in comments if ln.startswith("# metadata: "))
+                              [len("# metadata: "):])
+            assert rows.shape[0] == scenario["grid"]["steps"]
+            assert "oracle_sigma_z_upper" in header
+            deviations = meta["oracle_deviation"]
+            assert set(deviations) == {"abs_quasi_a", "quasi_n", "sigma_z_mean", "sigma_z_offset",
+                                       "sigma_z_upper", "sigma_z_lower", "conservation_residual"}
+            assert max(deviations.values()) <= cli.CROSSCHECK_TOL
 
     def test_three_series_files_with_features(self, tmp_path, monkeypatch):
         from jcsubdyn import analysis
