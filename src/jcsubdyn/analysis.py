@@ -83,6 +83,9 @@ class Scenario:
         if not stop > start:
             raise ValueError(f"grid stop must exceed start, got [{start}, {stop}]")
         hilbert.require_atom_density(self.atom_init)
+        if not math.isfinite(self.magnitude * self.magnitude):
+            raise ValueError(f"magnitude squared (the mean photon number) must be finite, "
+                             f"got {self.magnitude!r}")
         unknown = set(self.channels) - set(DEFAULT_CHANNELS)
         if unknown:
             raise ValueError(f"unknown channels: {sorted(unknown)}")
@@ -378,14 +381,16 @@ def qpl_dominance(t: float, atom_init: np.ndarray, params: jcm.JcmParams,
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (params.n_max + 1,):
         raise ValueError("weights must have one entry per retained photon number")
-    # one sector past the truncation: D_n needs sectors n - 1 and n only, so,
-    # as in the qpl_ratio channel, it runs to n = n_max; A_n and C_n stop below
-    v, w = jcm._corr_row(t, params, past_top=1)
-    a, c, d = jcm._dressing_coefficients(v, w, np.arange(params.n_max + 1), atom_init)
-    a, c = a[:-1], c[:-1]
-    ns = np.arange(params.n_max)
+    # the sectors of the qpl_ratio channel: A_n and C_n need sector n + 1 and
+    # stop below n_max; D_n needs sectors n - 1 and n only and runs to n_max
+    n_max = params.n_max
+    v, w = jcm._corr_row(t, params)
+    a = _kernels.dressing_a(v, w, 0, n_max, atom_init[0, 0].real, atom_init[1, 1].real)
+    c = _kernels.dressing_c(v, w, 1, n_max, atom_init[1, 0])
+    d = _kernels.dressing_d(v, w, 0, n_max + 1, atom_init[0, 1])
+    ns = np.arange(n_max)
     dev = np.abs(a - 1.0)
-    num = float(weights[:-1] @ np.abs(c) + weights @ np.abs(d))
+    num = float(weights[1:-1] @ np.abs(c) + weights @ np.abs(d))
     den = float(weights[:-1] @ np.abs(a))
     half_det = abs(params.half_detuning)
     with np.errstate(divide="ignore"):

@@ -187,11 +187,16 @@ def _resolve(cfg: dict, tail_tol: float):
     phase = _finite(merged["alpha_phase"], "alpha_phase")
     if mag < 0:
         raise ConfigError("alpha_mag must be >= 0")
+    if not math.isfinite(mag * mag):
+        raise ConfigError(f"alpha_mag squared (the mean photon number) must be finite, got {mag!r}")
 
     n_max_cfg = merged["n_max"]
     tail_warning = False
     if n_max_cfg == "auto":
-        n_max = max(hilbert.auto_n_max(mag * mag, tail_tol), 8)
+        try:
+            n_max = max(hilbert.auto_n_max(mag * mag, tail_tol), 8)
+        except ValueError as exc:
+            raise ConfigError(f"n_max 'auto': {exc}") from exc
     else:
         try:
             n_max = int(n_max_cfg)
@@ -226,6 +231,10 @@ def _resolve(cfg: dict, tail_tol: float):
             label=label or "scenario")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if scenario.oracle and not math.isfinite(omega * (n_max + 1) + abs(omega0)
+                                             + g * math.sqrt(n_max + 1)):
+        raise ConfigError("the oracle's truncated Hamiltonian overflows: "
+                          "omega (n_max + 1) + |omega0| + g sqrt(n_max + 1) is not finite")
 
     coh = scenario.coherent()
     if coh.tail_mass >= tail_tol:

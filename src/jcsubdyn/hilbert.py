@@ -56,6 +56,8 @@ DEFAULT_TAIL_TOL = 1e-10
 # Above this index the running factorial product would overflow float64,
 # so Poisson weights switch to the log domain (lgamma).
 _LOG_DOMAIN_N = 150
+#: Largest truncation :func:`auto_n_max` searches.
+_AUTO_N_MAX_LIMIT = 100000
 
 
 @dataclass(frozen=True)
@@ -144,17 +146,22 @@ def poisson_weights(mean: float, n_max: int) -> np.ndarray:
 
 
 def auto_n_max(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest n_max whose Poisson tail mass beyond it is below ``tail_tol``."""
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
+    """Smallest n_max whose Poisson tail mass beyond it is below ``tail_tol``.
+
+    Searches up to ``_AUTO_N_MAX_LIMIT``; a ValueError says that none there
+    meets the bound.
+    """
+    if not 0 <= mean < _AUTO_N_MAX_LIMIT:  # NaN and inf included
+        raise ValueError(f"mean must be in [0, {_AUTO_N_MAX_LIMIT}), got {mean!r}")
     n = max(1, int(math.ceil(mean)))
     while True:
         tail = 1.0 - float(np.sum(poisson_weights(mean, n)))
         if tail < tail_tol:
             return n
         n += 1
-        if n > 100000:
-            raise RuntimeError("auto_n_max did not converge")
+        if n > _AUTO_N_MAX_LIMIT:
+            raise ValueError(f"no n_max up to {_AUTO_N_MAX_LIMIT} meets the tail bound "
+                             f"{tail_tol:g} at mean {mean:g}")
 
 
 @dataclass(frozen=True)

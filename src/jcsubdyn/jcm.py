@@ -159,17 +159,17 @@ def correlation_factors(n: int, t: float, params: JcmParams) -> CorrelationFacto
     return CorrelationFactors(n, lam, theta, v, w)
 
 
-def correlation_tables(ts: np.ndarray, params: JcmParams, past_top: int = 0):
-    """(v, w) tables over the grid; column j holds sector n = j - 1.
-
-    The columns run to sector n_max, or ``past_top`` sectors further.
-    """
+def correlation_tables(ts: np.ndarray, params: JcmParams):
+    """(v, w) tables over the grid; column j holds sector n = j - 1, up to n_max."""
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    return _kernels.corr_tables(ts, params.half_detuning, params.g, params.n_max + 2 + past_top)
+    return _kernels.corr_tables(ts, params.half_detuning, params.g, params.n_max + 2)
 
 
-def _corr_row(t: float, params: JcmParams, past_top: int = 0):
-    v, w = correlation_tables(np.array([t]), params, past_top)
+def _corr_row(t: float, params: JcmParams, top: int | None = None):
+    """(v, w) rows at one time, for sectors -1..top (default: n_max)."""
+    top = params.n_max if top is None else top
+    v, w = _kernels.corr_tables(np.array([t], dtype=np.float64), params.half_detuning,
+                                params.g, top + 2)
     return v[0], w[0]
 
 
@@ -324,44 +324,16 @@ class PhotonDressing:
     d0: complex
 
 
-def _dressing_coefficients(v: np.ndarray, w: np.ndarray, ns: np.ndarray,
-                           atom_init: np.ndarray):
-    """(A, C, D) arrays for the integer sectors in ns; v/w columns are offset by one."""
-    rho_uu = atom_init[UP, UP].real
-    rho_dd = atom_init[DOWN, DOWN].real
-    rho_ud = atom_init[UP, DOWN]
-    rho_du = atom_init[DOWN, UP]
-    nf = ns.astype(np.float64)
-    vn = v[ns + 1]
-    vp = v[ns + 2]
-    vm = v[ns]
-    wn = w[ns + 1]
-    wp = w[ns + 2]
-    wm = w[ns]
-    a = (rho_uu * (np.conj(vn) * vp + wn * wp * np.sqrt((nf + 2.0) / (nf + 1.0)))
-         + rho_dd * (np.conj(vn) * vm + wn * wm * np.sqrt(nf / (nf + 1.0))))
-    c = 1j * rho_du * (wm * np.conj(vn) * np.sqrt(nf + 1.0) - wn * np.conj(vm) * np.sqrt(nf))
-    d = 1j * rho_ud * (wm * vn * np.sqrt(nf) - wn * vm * np.sqrt(nf + 1.0))
-    return a, c, d
-
-
 def photon_dressing(n: int, t: float, atom_init: np.ndarray, params: JcmParams) -> PhotonDressing:
     """Dressing coefficients of sector n (n >= 0) at time t."""
     if n < 0:
         raise ValueError(f"sector index must be >= 0, got {n}")
     atom_init = require_atom_density(atom_init)
-    fm = correlation_factors(n - 1, t, params)
-    fn = correlation_factors(n, t, params)
-    fp = correlation_factors(n + 1, t, params)
-    rho_uu = atom_init[UP, UP].real
-    rho_dd = atom_init[DOWN, DOWN].real
-    a = (rho_uu * (np.conj(fn.v) * fp.v + fn.w * fp.w * math.sqrt((n + 2.0) / (n + 1.0)))
-         + rho_dd * (np.conj(fn.v) * fm.v + fn.w * fm.w * math.sqrt(n / (n + 1.0))))
-    c = 1j * atom_init[DOWN, UP] * (fm.w * np.conj(fn.v) * math.sqrt(n + 1.0)
-                                    - fn.w * np.conj(fm.v) * math.sqrt(float(n)))
-    d = 1j * atom_init[UP, DOWN] * (fm.w * fn.v * math.sqrt(float(n))
-                                    - fn.w * fm.v * math.sqrt(n + 1.0))
-    return PhotonDressing(n, t, complex(a), complex(c), complex(d))
+    v, w = _corr_row(t, params, top=n + 1)
+    a = _kernels.dressing_a(v, w, n, n + 1, atom_init[UP, UP].real, atom_init[DOWN, DOWN].real)
+    c = _kernels.dressing_c(v, w, n, n + 1, atom_init[DOWN, UP])
+    d = _kernels.dressing_d(v, w, n, n + 1, atom_init[UP, DOWN])
+    return PhotonDressing(n, t, complex(a[0]), complex(c[0]), complex(d[0]))
 
 
 def quasi_annihilation(t: float, atom_init: np.ndarray, params: JcmParams) -> EffectiveOperator:
@@ -374,23 +346,11 @@ def quasi_annihilation(t: float, atom_init: np.ndarray, params: JcmParams) -> Ef
     atom_init = require_atom_density(atom_init)
     n_max = params.n_max
     v, w = _corr_row(t, params)
-    rot = cmath.exp(-1j * params.omega * t)
-    m = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-
-    ns = np.arange(n_max)  # single-quantum band, n = 0..n_max-1
-    a, _, _ = _dressing_coefficients(v, w, ns, atom_init)
-    m[ns, ns + 1] = rot * np.sqrt(ns + 1.0) * a
-
-    if n_max >= 2:
-        nc = np.arange(1, n_max)  # two-quantum band
-        _, c, _ = _dressing_coefficients(v, w, nc, atom_init)
-        m[nc - 1, nc + 1] += rot * c
-
-    nd = np.arange(n_max + 1, dtype=np.float64)
-    rho_ud = atom_init[UP, DOWN]
-    dcoef = 1j * rho_ud * (w[:-1] * v[1:] * np.sqrt(nd) - w[1:] * v[:-1] * np.sqrt(nd + 1.0))
-    m[nd.astype(int), nd.astype(int)] += rot * dcoef
-    return EffectiveOperator("photon", t, m, atom_init)
+    a = _kernels.dressing_a(v, w, 0, n_max, atom_init[UP, UP].real, atom_init[DOWN, DOWN].real)
+    c = _kernels.dressing_c(v, w, 1, n_max, atom_init[DOWN, UP])
+    d = _kernels.dressing_d(v, w, 0, n_max + 1, atom_init[UP, DOWN])
+    m = np.diag(np.sqrt(np.arange(1.0, n_max + 1)) * a, 1) + np.diag(c, 2) + np.diag(d)
+    return EffectiveOperator("photon", t, cmath.exp(-1j * params.omega * t) * m, atom_init)
 
 
 def quasi_number(t: float, atom_init: np.ndarray, params: JcmParams) -> EffectiveOperator:
@@ -473,23 +433,20 @@ def spin_plus_series(t: float, coherent: CoherentState, params: JcmParams) -> Sp
 
 
 def spin_z_series(t: float, coherent: CoherentState, params: JcmParams) -> SpinDressing:
-    """Series coefficients of the dressed inversion operator (s4 = conj(s3))."""
+    """Series coefficients of the dressed inversion operator (s4 = conj(s3)).
+
+    The tail of each series is what dropping the last retained sector
+    changes: sector n_max for s1 and s2, n_max - 1 for s3.
+    """
     if coherent.n_max != params.n_max:
         raise ValueError("coherent state truncation does not match params")
     v, w = _corr_row(t, params)
     p = coherent.weights()
     p_next = poisson_weights(coherent.mean_photons, params.n_max + 1)[1:]
-    alpha = coherent.alpha
-    ns = np.arange(params.n_max + 1, dtype=np.float64)
-    wn = w[1:]
-    vn = v[1:]
-    t1 = p * wn ** 2
-    t2 = p_next * wn ** 2
-    t3 = -2j * p * wn * np.conj(vn) * alpha / np.sqrt(ns + 1.0)
-    s1 = 1.0 - 2.0 * float(t1.sum())
-    s2 = -(1.0 - 2.0 * float(t2.sum()))
-    s3 = complex(t3.sum())
-    ok = _tail_ok([(s1, complex(2 * t1[-1])), (s2, complex(2 * t2[-1])), (s3, complex(t3[-1]))])
+    full, short = (_kernels.inversion_series(v, w, 0, hi, p, p_next, coherent.alpha)
+                   for hi in (params.n_max + 1, params.n_max))
+    ok = _tail_ok([(complex(s), complex(s - r)) for s, r in zip(full, short)])
+    s1, s2, s3 = float(full[0]), float(full[1]), complex(full[2])
     return SpinDressing("z", t, s1, s2, s3, np.conj(s3), tail_ok=ok)
 
 

@@ -90,7 +90,7 @@ class TestObservableSeries:
 
     def test_metadata_reports_lane_and_tail(self, fig10_series):
         md = fig10_series.metadata
-        assert md["kernel_lane"] in ("numba", "numpy")
+        assert md["kernel_lane"] == "numpy"
         assert md["tail_ok"] and md["tail_mass"] < 1e-12
 
     def test_unknown_channel_rejected(self):
@@ -280,6 +280,32 @@ class TestQplDominance:
         p = JcmParams(1.0, 0.8, 0.02, 20)
         with pytest.raises(ValueError, match="weights"):
             qpl_dominance(1.0, EXCITED, p, poisson_weights(4.0, 5))
+
+
+class TestChannelsMatchOperators:
+    """Each closed-form channel equals the <alpha|...|alpha> value of its per-t operator."""
+
+    @pytest.mark.parametrize("n_max, mean", [(12, 9.0), (36, 10.0)])
+    def test_channels_equal_per_t_operators(self, n_max, mean):
+        # a short truncation makes the range of every series visible
+        sc = Scenario(params=JcmParams(1.0, 0.8, 0.02, n_max), atom_init=MIXED,
+                      magnitude=math.sqrt(mean), phase=0.3, grid=(0.0, 40.0, 41))
+        channels = observable_series(sc).channels
+        coh = sc.coherent()
+        amps = coh.amplitudes
+        weights = coh.weights()
+        rows = []
+        for t in sc.times():
+            qa = amps.conj() @ jcm.quasi_annihilation(t, MIXED, sc.params).matrix @ amps
+            qn = amps.conj() @ jcm.quasi_number(t, MIXED, sc.params).matrix @ amps
+            spec = sigma_z_spectrum(jcm.quasi_sigma_z(t, coh, sc.params))
+            rows.append((qa.real, qa.imag, qn.real, spec.offset, spec.dispersion,
+                         qpl_dominance(t, MIXED, sc.params, weights).ratio))
+        names = ("quasi_a_re", "quasi_a_im", "quasi_n", "sigma_z_offset",
+                 "sigma_z_dispersion", "qpl_ratio")
+        for name, got in zip(names, np.array(rows).T):
+            rtol, atol = (1e-12, 0.0) if name == "quasi_n" else (0.0, 1e-12)
+            np.testing.assert_allclose(got, channels[name], rtol=rtol, atol=atol, err_msg=name)
 
 
 class TestCollapseRevival:

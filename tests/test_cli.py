@@ -125,6 +125,33 @@ class TestInputHardening:
                        "--grid", "0", "1", "3", "--format", "json"], tmp_path, capsys,
                       "detuning omega - omega0 must be finite")
 
+    def test_overflowing_magnitude_rejected_with_auto_n_max(self, tmp_path, capsys):
+        # 1e200 is finite, but its square, the mean photon number, is not
+        self._rejects(["--alpha-mag", "1e200", "--grid", "0", "1", "3"], tmp_path, capsys,
+                      "alpha_mag squared")
+
+    def test_overflowing_magnitude_rejected_with_fixed_n_max(self, tmp_path, capsys):
+        self._rejects(["--alpha-mag", "1e200", "--n-max", "10", "--grid", "0", "1", "3"],
+                      tmp_path, capsys, "alpha_mag squared")
+
+    def test_overflowing_oracle_hamiltonian_rejected(self, tmp_path, capsys):
+        # each frequency and the detuning are finite; omega (n_max + 1/2) is not
+        self._rejects(["--omega", "1e308", "--omega0", "1e308", "--g", "0.02", "--alpha-mag", "1",
+                       "--grid", "0", "1", "3", "--oracle", "on"], tmp_path, capsys,
+                      "truncated Hamiltonian overflows")
+
+    def test_auto_n_max_beyond_search_limit_rejected(self, tmp_path, capsys):
+        self._rejects(["--alpha-mag", "1000", "--grid", "0", "1", "3"], tmp_path, capsys,
+                      "n_max 'auto'")
+
+    def test_library_scenario_rejects_overflowing_magnitude(self):
+        from jcsubdyn.analysis import Scenario
+        from jcsubdyn.jcm import JcmParams
+
+        with pytest.raises(ValueError, match="magnitude squared"):
+            Scenario(params=JcmParams(1.0, 1.0, 0.02, 10),
+                     atom_init=np.diag([1.0, 0.0]).astype(complex), magnitude=1e200)
+
     def test_library_params_must_be_finite(self):
         from jcsubdyn.jcm import JcmParams
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jcsubdyn import jcm, subdyn
+from jcsubdyn import _kernels, jcm, subdyn
 from jcsubdyn.hilbert import annihilation, coherent_state, number_op, pauli_ops
 from jcsubdyn.jcm import JcmParams, correlation_factors
 from jcsubdyn.numerics import max_abs
@@ -61,6 +61,18 @@ class TestCorrelationFactors:
         p = JcmParams(1.0, 0.3, 0.04, 10)
         for n in range(-1, 10):
             assert p.sector_rate(n) >= abs(p.detuning) / 2
+
+    @pytest.mark.parametrize("omega0, g", [(0.8, 0.07), (1.2, 0.07), (1.0, 0.07),
+                                           (0.8, 0.0), (1.0, 0.0)])
+    def test_kernel_tables_match_scalar_factors(self, omega0, g):
+        """Column j of the kernel tables is correlation_factors(j - 1, t) for every t."""
+        p = JcmParams(1.0, omega0, g, 30)
+        ts = np.linspace(0.0, 200.0, 41)
+        v, w = _kernels.corr_tables(ts, p.half_detuning, p.g, p.n_max + 2)
+        for n in range(-1, p.n_max + 1):
+            ref = [correlation_factors(n, t, p) for t in ts]
+            np.testing.assert_allclose(v[:, n + 1], [f.v for f in ref], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(w[:, n + 1], [f.w for f in ref], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_block_unitarity_identity(self, seed):

@@ -1,4 +1,4 @@
-"""Kernel lanes agree, and t-blocking the numpy lane changes neither values nor memory growth."""
+"""Correlation tables are block-unitary, and t-blocking the channel sums changes neither values nor memory growth."""
 
 import tracemalloc
 
@@ -25,24 +25,6 @@ def _args(half_det, g, n_max, mean, rho_uu, rho_ud):
     return ts, n_max, half_det, g, 1.0, p, p1, alpha, rho_uu, 1.0 - rho_uu, rho_ud
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_channel_sums_lanes_agree(case):
-    args = _args(*case)
-    active = _kernels.channel_sums(*args)
-    reference = _kernels.channel_sums_numpy(*args)
-    for got, want in zip(active, reference):
-        np.testing.assert_allclose(np.asarray(got), np.asarray(want), atol=1e-12, rtol=1e-12)
-
-
-@pytest.mark.parametrize("half_det", [0.4, -0.4, 0.0])
-def test_corr_tables_lanes_agree(half_det):
-    ts = np.linspace(0.0, 120.0, 50)
-    v1, w1 = _kernels.corr_tables(ts, half_det, 0.07, 42)
-    v2, w2 = _kernels.corr_tables_numpy(ts, half_det, 0.07, 42)
-    np.testing.assert_allclose(v1, v2, atol=1e-13)
-    np.testing.assert_allclose(w1, w2, atol=1e-13)
-
-
 def test_corr_tables_block_unitarity():
     ts = np.linspace(0.0, 300.0, 40)
     v, w = _kernels.corr_tables(ts, -0.15, 0.03, 30)
@@ -58,19 +40,13 @@ def test_boundary_sector_is_free_phase(half_det):
     np.testing.assert_allclose(w[:, 0], 0.0, atol=1e-15)
 
 
-def test_lane_selection_reports():
-    assert _kernels.active_lane() in ("numba", "numpy")
-    if _kernels.USING_NUMBA:
-        assert _kernels.HAVE_NUMBA
-
-
 @pytest.mark.parametrize("steps", [3 * _kernels.T_BLOCK + 137, 4 * _kernels.T_BLOCK])
 @pytest.mark.parametrize("case", CASES + [(-0.15, 0.02, 86, 40.0, 0.8, 0.3 + 0.2j)])
 def test_blocked_sums_match_one_table(case, steps):
     """Blocked sums equal the formulas over one unblocked table pair to roundoff."""
     args = list(_args(*case))
     args[0] = np.linspace(0.0, 900.0, steps)
-    blocked = _kernels.channel_sums_numpy(*args)
+    blocked = _kernels.channel_sums(*args)
     whole = _kernels._channel_sums_block(*args)
     for got, want in zip(blocked, whole):
         assert got.shape == want.shape == (steps,)
@@ -82,7 +58,7 @@ def test_blocked_sums_match_one_table(case, steps):
 def test_grid_within_one_block_is_unchanged(case):
     args = _args(*case)
     assert len(args[0]) < _kernels.T_BLOCK
-    for got, want in zip(_kernels.channel_sums_numpy(*args), _kernels._channel_sums_block(*args)):
+    for got, want in zip(_kernels.channel_sums(*args), _kernels._channel_sums_block(*args)):
         assert np.array_equal(got, want)
 
 
@@ -96,7 +72,7 @@ def test_table_memory_bounded_on_long_grid():
     args[0] = np.linspace(0.0, 1e4, 50_000)
     tracemalloc.start()
     try:
-        out = _kernels.channel_sums_numpy(*args)
+        out = _kernels.channel_sums(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
