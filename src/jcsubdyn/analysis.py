@@ -80,12 +80,16 @@ class Scenario:
         start, stop, steps = self.grid
         if steps < 2:
             raise ValueError(f"grid needs at least 2 steps, got {steps}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"grid start and stop must be finite, got [{start}, {stop}]")
         if not stop > start:
             raise ValueError(f"grid stop must exceed start, got [{start}, {stop}]")
         hilbert.require_atom_density(self.atom_init)
         if not math.isfinite(self.magnitude * self.magnitude):
             raise ValueError(f"magnitude squared (the mean photon number) must be finite, "
                              f"got {self.magnitude!r}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
         unknown = set(self.channels) - set(DEFAULT_CHANNELS)
         if unknown:
             raise ValueError(f"unknown channels: {sorted(unknown)}")

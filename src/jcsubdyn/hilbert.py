@@ -27,7 +27,6 @@ __all__ = [
     "ATOM_DIM",
     "FockSpace",
     "annihilation",
-    "creation",
     "number_op",
     "ladder_ops",
     "Paulis",
@@ -38,7 +37,6 @@ __all__ = [
     "poisson_weights",
     "auto_n_max",
     "composite_index",
-    "composite_dim",
     "embed_photon",
     "embed_atom",
     "tensor_product",
@@ -78,11 +76,6 @@ class FockSpace:
 def annihilation(space: FockSpace) -> np.ndarray:
     """a with a|n> = sqrt(n)|n-1>."""
     return np.diag(np.sqrt(np.arange(1, space.dim, dtype=np.float64)), 1).astype(np.complex128)
-
-
-def creation(space: FockSpace) -> np.ndarray:
-    """a† truncated: a†|n_max> = 0."""
-    return adjoint(annihilation(space))
 
 
 def number_op(space: FockSpace) -> np.ndarray:
@@ -148,18 +141,24 @@ def poisson_weights(mean: float, n_max: int) -> np.ndarray:
 def auto_n_max(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest n_max whose Poisson tail mass beyond it is below ``tail_tol``.
 
-    Searches up to ``_AUTO_N_MAX_LIMIT``; a ValueError says that none there
-    meets the bound.
+    Candidates start at ceil(mean).  The tails of every n up to ``top`` come
+    from one cumulative sum, and ``top`` doubles until a candidate meets the
+    bound, so the work is linear in the answer.  Searches up to
+    ``_AUTO_N_MAX_LIMIT``; a ValueError says that none there meets the bound.
     """
     if not 0 <= mean < _AUTO_N_MAX_LIMIT:  # NaN and inf included
         raise ValueError(f"mean must be in [0, {_AUTO_N_MAX_LIMIT}), got {mean!r}")
-    n = max(1, int(math.ceil(mean)))
+    low = top = max(1, int(math.ceil(mean)))
     while True:
-        tail = 1.0 - float(np.sum(poisson_weights(mean, n)))
-        if tail < tail_tol:
-            return n
-        n += 1
-        if n > _AUTO_N_MAX_LIMIT:
+        doubled = min(2 * top, _AUTO_N_MAX_LIMIT)
+        # One window ends where the weights switch to the log domain, so each n
+        # is judged on the weights poisson_weights(mean, n) itself returns.
+        top = _LOG_DOMAIN_N if top < _LOG_DOMAIN_N < doubled else doubled
+        tails = 1.0 - np.cumsum(poisson_weights(mean, top))
+        hits = np.flatnonzero(tails[low:] < tail_tol)
+        if hits.size:
+            return low + int(hits[0])
+        if top == _AUTO_N_MAX_LIMIT:
             raise ValueError(f"no n_max up to {_AUTO_N_MAX_LIMIT} meets the tail bound "
                              f"{tail_tol:g} at mean {mean:g}")
 
@@ -222,10 +221,6 @@ def coherent_state(magnitude: float, phase: float, space: FockSpace) -> Coherent
 def composite_index(n: int, spin: int) -> int:
     """Photon-major composite index of |n, s>; spin 0 = up, 1 = down."""
     return 2 * n + spin
-
-
-def composite_dim(space: FockSpace) -> int:
-    return ATOM_DIM * space.dim
 
 
 def embed_photon(op: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .hilbert import (
+    ATOM_DIM,
     DOWN,
     UP,
     CoherentState,
@@ -52,9 +53,8 @@ from .subdyn import (
     BipartiteHamiltonian,
     EffectiveOperator,
     KrausSet,
-    apply_atom_kraus,
-    apply_photon_kraus,
     assemble_hamiltonian,
+    kraus_extract,
 )
 
 __all__ = [
@@ -249,61 +249,32 @@ def closed_kraus(side: str, coherent: CoherentState | None, t: float,
                  params: JcmParams) -> KrausSet:
     """Kraus family of the truncated closed-form propagator.
 
-    Atom side: one 2x2 member per photon number, built from (v, w) and the
-    coherent amplitudes.  Photon side: the four <s|U|s'> operators.  Matches
-    :func:`jcsubdyn.subdyn.kraus_extract` applied to
-    :func:`closed_propagator` to roundoff.
+    :func:`jcsubdyn.subdyn.kraus_extract` applied to :func:`closed_propagator`:
+    atom side, one 2x2 member <N|U|alpha> per photon number; photon side,
+    the four <s|U|s'> operators.  ``coherent`` is needed on the atom side only.
     """
-    n_max = params.n_max
-    v, w = _corr_row(t, params)
-    ns = np.arange(n_max + 1)
-    phi = np.exp(-1j * params.omega * t * (ns + 0.5)) * cmath.exp(-0.5j * params.omega * t)
-    ephi = np.exp(-1j * params.omega * t * (ns - 0.5)) * cmath.exp(-0.5j * params.omega * t)
-    if side == "atom":
-        if coherent is None:
-            raise ValueError("atom-side Kraus family needs the coherent state")
-        if coherent.n_max != n_max:
-            raise ValueError("coherent state truncation does not match params")
-        amps = coherent.amplitudes
-        members = np.zeros((n_max + 1, 2, 2), dtype=np.complex128)
-        members[:, UP, UP] = amps * phi * v[ns + 1]
-        members[n_max, UP, UP] = amps[n_max] * _top_sector_phase(t, params)
-        members[:-1, UP, DOWN] = -1j * amps[1:] * phi[:-1] * w[ns[:-1] + 1]
-        members[1:, DOWN, UP] = -1j * amps[:-1] * ephi[1:] * w[ns[1:]]
-        members[:, DOWN, DOWN] = amps * ephi * np.conj(v[ns])
-        gram = np.einsum("nsp,nsq->pq", members.conj(), members)
-        residual = float(np.max(np.abs(gram - np.eye(2))))
-        return KrausSet("atom", members, residual)
-    if side == "photon":
-        members = np.zeros((2, 2, n_max + 1, n_max + 1), dtype=np.complex128)
-        diag_up = phi * v[ns + 1]
-        diag_up[n_max] = _top_sector_phase(t, params)
-        members[UP, UP] = np.diag(diag_up)
-        members[DOWN, DOWN] = np.diag(ephi * np.conj(v[ns]))
-        cross = -1j * phi[:-1] * w[ns[:-1] + 1]
-        vd_up = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-        vd_up[ns[:-1] + 1, ns[:-1]] = cross
-        members[DOWN, UP] = vd_up
-        members[UP, DOWN] = vd_up.T.copy()
-        eye = np.eye(n_max + 1)
-        residual = 0.0
-        for s2 in (UP, DOWN):
-            gram = sum(members[s, s2].conj().T @ members[s, s2] for s in (UP, DOWN))
-            residual = max(residual, float(np.max(np.abs(gram - eye))))
-        return KrausSet("photon", members, residual)
-    raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
+    return kraus_extract(closed_propagator(t, params), side, coherent)
 
 
 def closed_marginal(side: str, atom_init: np.ndarray, coherent: CoherentState,
                     t: float, params: JcmParams) -> np.ndarray:
-    """Reduced density matrix at time t from the closed-form Kraus family."""
+    """Reduced density matrix at time t from two closed-form evolved kets.
+
+    The start is sum_{ss'} rho_ss' |alpha, s><alpha, s'|, so with
+    psi_s = U(t)|alpha, s> (stored as psi[s, n, a]) the atom marginal is
+    sum_{n,ss'} rho_ss' psi_s[n, :] psi_s'[n, :]^† and the photon marginal
+    sum_{a,ss'} rho_ss' psi_s[:, a] psi_s'[:, a]^†.
+    """
     atom_init = require_atom_density(atom_init)
+    if side not in ("atom", "photon"):
+        raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
+    if coherent.n_max != params.n_max:
+        raise ValueError("coherent state truncation does not match params")
+    kets = np.kron(coherent.amplitudes[:, None], np.eye(ATOM_DIM))  # column s is |alpha, s>
+    psi = (closed_propagator(t, params) @ kets).T.reshape(ATOM_DIM, params.space.dim, ATOM_DIM)
     if side == "atom":
-        return apply_atom_kraus(closed_kraus("atom", coherent, t, params), atom_init)
-    if side == "photon":
-        return apply_photon_kraus(closed_kraus("photon", None, t, params),
-                                  coherent.density(), atom_init)
-    raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
+        return np.einsum("st,sna,tnb->ab", atom_init, psi, psi.conj())
+    return np.einsum("st,sna,tma->nm", atom_init, psi, psi.conj())
 
 
 # --- dressed photon operators -------------------------------------------------

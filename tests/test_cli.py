@@ -148,9 +148,16 @@ class TestInputHardening:
         from jcsubdyn.analysis import Scenario
         from jcsubdyn.jcm import JcmParams
 
+        params, atom = JcmParams(1.0, 1.0, 0.02, 10), np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="magnitude squared"):
-            Scenario(params=JcmParams(1.0, 1.0, 0.02, 10),
-                     atom_init=np.diag([1.0, 0.0]).astype(complex), magnitude=1e200)
+            Scenario(params=params, atom_init=atom, magnitude=1e200)
+        # a non-finite phase or grid end would otherwise give NaN channels silently
+        for kwargs, needle in (({"phase": math.nan}, "phase must be finite"),
+                               ({"grid": (0.0, math.inf, 10)}, "grid start and stop"),
+                               ({"grid": (-math.inf, 5.0, 10)}, "grid start and stop")):
+            with pytest.raises(ValueError, match=needle) as err:
+                Scenario(params=params, atom_init=atom, magnitude=1.0, **kwargs)
+            assert "\n" not in str(err.value)
 
     def test_library_params_must_be_finite(self):
         from jcsubdyn.jcm import JcmParams

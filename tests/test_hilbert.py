@@ -133,11 +133,27 @@ class TestCoherent:
             coherent_state(-1.0, 0.0, FockSpace(4))
 
 
+def stepwise_auto_n_max(mean, tail_tol):
+    """The former search: one sector more per step, all weights rebuilt each step."""
+    n = max(1, int(math.ceil(mean)))
+    while 1.0 - float(np.sum(poisson_weights(mean, n))) >= tail_tol:
+        n += 1
+    return n
+
+
 class TestAutoTruncation:
     def test_auto_n_max_meets_and_is_minimal(self):
         n = auto_n_max(10.0, 1e-10)
         assert scipy.stats.poisson.sf(n, 10.0) < 1e-10
         assert scipy.stats.poisson.sf(n - 1, 10.0) >= 1e-10
+        # the windowed search picks the stepwise answer, also across the
+        # switch to log-domain weights past n = 150
+        for tail_tol in (1e-6, 1e-10, 1e-13):
+            for mean in np.linspace(0.0, 180.0, 41):
+                assert auto_n_max(mean, tail_tol) == stepwise_auto_n_max(mean, tail_tol), \
+                    (mean, tail_tol)
+        # large means, where the stepwise search takes seconds: its answers
+        assert [auto_n_max(m) for m in (1000.0, 5000.0, 20000.0)] == [1208, 5456, 20910]
 
     def test_log_domain_weights_agree_with_recurrence(self):
         direct = poisson_weights(30.0, 120)

@@ -151,11 +151,12 @@ class TestClosedKraus:
             assert max_abs(kset.members[s, s] - np.diag(diag)) == 0.0
 
     @pytest.mark.parametrize("t", [17.0, 951.0])
-    def test_agrees_with_extraction_from_closed_propagator(self, params, coh, t):
-        u = jcm.closed_propagator(t, params)
+    def test_agrees_with_extraction_from_closed_propagator(self, params, coh, propagator, t):
+        """The closed family matches the one extracted from the spectral propagator."""
+        u = propagator(t)
         for side, arg in (("atom", coh), ("photon", None)):
             built = jcm.closed_kraus(side, arg, t, params)
-            extracted = subdyn.kraus_extract(u, side, coh if side == "atom" else None)
+            extracted = subdyn.kraus_extract(u, side, arg)
             assert max_abs(built.members - extracted.members) < 1e-10
 
 
@@ -186,6 +187,12 @@ class TestClosedMarginal:
                                    state.atom, atol=1e-9)
         np.testing.assert_allclose(jcm.closed_marginal("photon", rho_at, coh, t, params),
                                    state.photon, atol=1e-9)
+        # the public Kraus route reaches the same marginals
+        via_kraus_atom = subdyn.apply_atom_kraus(jcm.closed_kraus("atom", coh, t, params), rho_at)
+        via_kraus_photon = subdyn.apply_photon_kraus(jcm.closed_kraus("photon", None, t, params),
+                                                     coh.density(), rho_at)
+        np.testing.assert_allclose(via_kraus_atom, state.atom, atol=1e-9)
+        np.testing.assert_allclose(via_kraus_photon, state.photon, atol=1e-9)
 
     def test_marginals_stay_physical(self, params, coh):
         rho_t = jcm.closed_marginal("atom", EXCITED, coh, 512.0, params)
