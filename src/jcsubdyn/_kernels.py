@@ -18,7 +18,9 @@ the same formula, no special casing).
 
 Each dressing coefficient is written once, here: :func:`dressing_a`,
 :func:`dressing_c` and :func:`dressing_d` for the quasi-annihilation
-operator and :func:`inversion_series` for the dressed inversion.  They take
+operator, :func:`dressing_n` for the quasi-number operator,
+:func:`inversion_series` for the dressed inversion and
+:func:`spin_plus_terms` for the dressed raising operator.  They take
 the sectors as a half-open range ``lo, hi`` and read sector ``n`` and its
 neighbours ``n - 1``, ``n + 1`` as basic column slices, so they work on the
 time-blocked tables of :func:`channel_sums` and on the one-row tables of
@@ -36,7 +38,9 @@ __all__ = [
     "dressing_a",
     "dressing_c",
     "dressing_d",
+    "dressing_n",
     "inversion_series",
+    "spin_plus_terms",
     "channel_sums",
 ]
 
@@ -100,6 +104,14 @@ def dressing_d(v, w, lo, hi, rho_ud):
     return 1j * rho_ud * (wm * vn * np.sqrt(n) - wn * vm * np.sqrt(n + 1.0))
 
 
+def dressing_n(v, w, lo, hi, rho_uu, rho_dd, rho_ud):
+    """Quasi-number |n><n| entries n + rho_uu w_n² - rho_dd w_{n-1}² and |n+1><n|
+    entries -i rho_ud w_n v_n (|n><n+1| holds their conjugates), sectors n = lo..hi-1."""
+    n = np.arange(lo, hi, dtype=np.float64)
+    vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
+    return n + rho_uu * wn ** 2 - rho_dd * w[..., lo:hi] ** 2, -1j * rho_ud * wn * vn
+
+
 def inversion_series(v, w, lo, hi, p, p1, alpha):
     """(s1, s2, s3) of the dressed inversion over sectors n = lo..hi-1.
 
@@ -116,6 +128,23 @@ def inversion_series(v, w, lo, hi, p, p1, alpha):
     s3_terms = (p[lo:hi - 1] * root) * (wn[..., :-1] * np.conj(vn[..., :-1]))
     s3 = -2j * alpha * s3_terms.sum(axis=-1)
     return s1, s2, s3
+
+
+def spin_plus_terms(v, w, lo, hi, p, alpha):
+    """Per-sector terms of the dressed raising operator's s1..s4, sectors n = lo..hi-1.
+
+    Each carries the Poisson weight p(n); both factors of the s1 term are
+    conjugated; s2..s4 divide by ``alpha``.  Their sums over the last axis are the series.
+    """
+    n = np.arange(lo, hi, dtype=np.float64)
+    p = p[lo:hi]
+    vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
+    vm, wm = v[..., lo:hi], w[..., lo:hi]
+    t1 = p * np.conj(vn) * np.conj(vm)
+    t2 = p * wn * wm * (np.conj(alpha) / alpha) * np.sqrt(n / (n + 1.0))
+    t3 = -1j * p * np.conj(vn) * wm * np.sqrt(n) / alpha
+    t4 = 1j * p * np.conj(vm) * wn * np.conj(alpha) / np.sqrt(n + 1.0)
+    return t1, t2, t3, t4
 
 
 # --- fused channel sums ------------------------------------------------------

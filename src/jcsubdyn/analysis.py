@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,12 @@ ORACLE_CHANNELS = (
 )
 
 
+#: Largest phase rate x time a scenario may reach: there one ulp of the phase
+#: (eps x phase) is 1e-6, the closed-vs-oracle tolerance ``cli.CROSSCHECK_TOL``,
+#: so no channel keeps even that many digits beyond it.  About 4.5e9.
+MAX_PHASE = 1e-6 / np.finfo(np.float64).eps
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified run: model, initial states, grid and outputs."""
@@ -78,12 +85,20 @@ class Scenario:
 
     def __post_init__(self):
         start, stop, steps = self.grid
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool):
+            raise ValueError(f"grid steps must be an integer, got {steps!r}")
         if steps < 2:
             raise ValueError(f"grid needs at least 2 steps, got {steps}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(f"grid start and stop must be finite, got [{start}, {stop}]")
         if not stop > start:
             raise ValueError(f"grid stop must exceed start, got [{start}, {stop}]")
+        p = self.params
+        rate = max(p.omega, abs(p.omega0), p.sector_rate(p.n_max))
+        t_max = max(abs(start), abs(stop)) / (p.g if p.g > 0 else 1.0)
+        if not rate * t_max <= MAX_PHASE:
+            raise ValueError(f"phase rate x time {rate * t_max:.3g} exceeds {MAX_PHASE:.3g}: "
+                             f"no phase keeps 1e-6 there (raise g or shorten the grid)")
         hilbert.require_atom_density(self.atom_init)
         if not math.isfinite(self.magnitude * self.magnitude):
             raise ValueError(f"magnitude squared (the mean photon number) must be finite, "

@@ -217,6 +217,10 @@ def _resolve(cfg: dict, tail_tol: float):
 
     if not isinstance(merged["oracle"], bool):
         raise ConfigError(f"oracle must be true or false, got {merged['oracle']!r}")
+    if merged["oracle"] and not math.isfinite(omega * (n_max + 1) + abs(omega0)
+                                              + g * math.sqrt(n_max + 1)):
+        raise ConfigError("the oracle's truncated Hamiltonian overflows: "
+                          "omega (n_max + 1) + |omega0| + g sqrt(n_max + 1) is not finite")
 
     fmt = merged["output"]["format"]
     if fmt not in ("csv", "json"):
@@ -231,10 +235,6 @@ def _resolve(cfg: dict, tail_tol: float):
             label=label or "scenario")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if scenario.oracle and not math.isfinite(omega * (n_max + 1) + abs(omega0)
-                                             + g * math.sqrt(n_max + 1)):
-        raise ConfigError("the oracle's truncated Hamiltonian overflows: "
-                          "omega (n_max + 1) + |omega0| + g sqrt(n_max + 1) is not finite")
 
     coh = scenario.coherent()
     if coh.tail_mass >= tail_tol:

@@ -19,11 +19,10 @@ w_{-1} = 0.  It reproduces the exact |0, down> phase for either detuning
 sign; the brute-force engine in :mod:`jcsubdyn.subdyn` is the arbiter for
 this and every other convention here.
 
-Phase convention: the sector-phase form of the propagator assembled by
-:func:`bare_propagator` uses exponents omega·t·(n ± 1/2) relative to a field
-term without the zero-point 1/2; multiplying by the global factor
-exp(-i omega t / 2) (done in :func:`closed_propagator`) makes it equal to
-exp(-i t H) for the Hamiltonian above.  See docs/conventions.md.
+Phase convention: sector n (the pair |n, up>, |n+1, down>) carries the
+phase exp(-i omega t (n + 1)), the zero-point term of the field included, so
+:func:`closed_evolve` equals exp(-i t H) for the Hamiltonian above.  See
+docs/conventions.md.
 """
 
 from __future__ import annotations
@@ -61,11 +60,10 @@ __all__ = [
     "JcmParams",
     "CorrelationFactors",
     "correlation_factors",
-    "correlation_tables",
     "hamiltonian_parts",
     "hamiltonian",
     "constant_of_motion",
-    "bare_propagator",
+    "closed_evolve",
     "closed_propagator",
     "closed_kraus",
     "closed_marginal",
@@ -159,12 +157,6 @@ def correlation_factors(n: int, t: float, params: JcmParams) -> CorrelationFacto
     return CorrelationFactors(n, lam, theta, v, w)
 
 
-def correlation_tables(ts: np.ndarray, params: JcmParams):
-    """(v, w) tables over the grid; column j holds sector n = j - 1, up to n_max."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    return _kernels.corr_tables(ts, params.half_detuning, params.g, params.n_max + 2)
-
-
 def _corr_row(t: float, params: JcmParams, top: int | None = None):
     """(v, w) rows at one time, for sectors -1..top (default: n_max)."""
     top = params.n_max if top is None else top
@@ -200,47 +192,41 @@ def constant_of_motion(params: JcmParams) -> np.ndarray:
 
 # --- propagator --------------------------------------------------------------
 
-def bare_propagator(t: float, params: JcmParams) -> np.ndarray:
-    """Sector-phase propagator with exponents omega t (n ± 1/2), verbatim.
+def closed_evolve(ts, params: JcmParams, kets: np.ndarray) -> np.ndarray:
+    """``out[t, k] = U(t) kets[k]``, shape (len(ts), len(kets), dim), from the sector blocks.
 
-    Lacks the global zero-point factor exp(-i omega t / 2) relative to
-    exp(-itH); its dangling |n_max, up> column carries |v_{n_max}| < 1 and is
-    sub-unitary.  Kept for the phase-reconciliation regression test; use
-    :func:`closed_propagator` for everything else.
+    The contract of :meth:`jcsubdyn.subdyn.SpectralPropagator.evolve`: sector
+    n = -1..n_max - 1 maps (|n, up>, |n+1, down>) by exp(-i omega t (n + 1))
+    [[v_n, -i w_n], [-i w_n, conj(v_n)]], and the dangling |n_max, up> keeps
+    its free truncated phase.  Callers bound memory by passing ``ts`` in blocks.
     """
+    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    kets = np.asarray(kets, dtype=np.complex128)
     n_max = params.n_max
-    v, w = _corr_row(t, params)
-    d = 2 * (n_max + 1)
-    u = np.zeros((d, d), dtype=np.complex128)
-    ms = np.arange(n_max + 1)
-    down = 2 * ms + DOWN
-    up = 2 * ms + UP
-    u[down, down] = np.exp(-1j * params.omega * t * (ms - 0.5)) * np.conj(v[ms])
-    u[up, up] = np.exp(-1j * params.omega * t * (ms + 0.5)) * v[ms + 1]
-    ns = ms[:-1]
-    cross = np.exp(-1j * params.omega * t * (ns + 0.5)) * (-1j) * w[ns + 1]
-    u[2 * ns + 2 + DOWN, 2 * ns + UP] = cross
-    u[2 * ns + UP, 2 * ns + 2 + DOWN] = cross
-    return u
-
-
-def _top_sector_phase(t: float, params: JcmParams) -> complex:
+    if kets.ndim != 2 or kets.shape[1] != ATOM_DIM * (n_max + 1):
+        raise ValueError(f"kets must be rows of the {ATOM_DIM * (n_max + 1)}-dim composite "
+                         f"space, got shape {kets.shape}")
+    kets = kets.reshape(len(kets), n_max + 1, ATOM_DIM)
+    v, w = _kernels.corr_tables(ts, params.half_detuning, params.g, n_max + 2)
+    # column j is sector n = j - 1 in both the tables and the padded pair legs
+    phase = np.exp(-1j * params.omega * np.multiply.outer(ts, np.arange(n_max + 2)))
+    diag_up, diag_dn, cross = (x[:, None, :] for x in (phase * v, phase * np.conj(v),
+                                                       -1j * phase * w))
+    zero = np.zeros((len(kets), 1), dtype=np.complex128)
+    up = np.concatenate([zero, kets[..., UP]], axis=1)      # |n, up>, n = -1..n_max
+    dn = np.concatenate([kets[..., DOWN], zero], axis=1)    # |n+1, down>
+    out = np.empty((len(ts), len(kets), n_max + 1, ATOM_DIM), dtype=np.complex128)
+    out[..., UP] = (diag_up * up + cross * dn)[..., 1:]
+    out[..., DOWN] = (diag_dn * dn + cross * up)[..., :-1]
     # diagonal energy of the dangling |n_max, up> state under the truncated H
-    e_top = params.omega * (params.n_max + 0.5) + 0.5 * params.omega0
-    return cmath.exp(-1j * t * e_top)
+    e_top = params.omega * (n_max + 0.5) + 0.5 * params.omega0
+    out[..., n_max, UP] = np.exp(-1j * e_top * ts)[:, None] * kets[:, n_max, UP]
+    return out.reshape(len(ts), len(kets), -1)
 
 
 def closed_propagator(t: float, params: JcmParams) -> np.ndarray:
-    """exp(-i t H) on the truncated space, assembled from closed-form blocks.
-
-    Equals the spectral exponential of the truncated Hamiltonian to roundoff
-    everywhere, including the dangling |n_max, up> state, which evolves by
-    its free truncated phase.  Exactly unitary.
-    """
-    u = cmath.exp(-0.5j * params.omega * t) * bare_propagator(t, params)
-    top = 2 * params.n_max + UP
-    u[top, top] = _top_sector_phase(t, params)
-    return u
+    """exp(-i t H) on the truncated space: column k is :func:`closed_evolve` of |k>."""
+    return closed_evolve(t, params, np.eye(2 * params.space.dim))[0].T
 
 
 # --- closed-form Kraus families and marginals --------------------------------
@@ -270,8 +256,8 @@ def closed_marginal(side: str, atom_init: np.ndarray, coherent: CoherentState,
         raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
     if coherent.n_max != params.n_max:
         raise ValueError("coherent state truncation does not match params")
-    kets = np.kron(coherent.amplitudes[:, None], np.eye(ATOM_DIM))  # column s is |alpha, s>
-    psi = (closed_propagator(t, params) @ kets).T.reshape(ATOM_DIM, params.space.dim, ATOM_DIM)
+    kets = np.kron(coherent.amplitudes, np.eye(ATOM_DIM))  # row s is |alpha, s>
+    psi = closed_evolve(t, params, kets)[0].reshape(ATOM_DIM, params.space.dim, ATOM_DIM)
     if side == "atom":
         return np.einsum("st,sna,tnb->ab", atom_init, psi, psi.conj())
     return np.einsum("st,sna,tma->nm", atom_init, psi, psi.conj())
@@ -333,16 +319,9 @@ def quasi_number(t: float, atom_init: np.ndarray, params: JcmParams) -> Effectiv
     atom_init = require_atom_density(atom_init)
     n_max = params.n_max
     v, w = _corr_row(t, params)
-    rho_uu = atom_init[UP, UP].real
-    rho_dd = atom_init[DOWN, DOWN].real
-    rho_ud = atom_init[UP, DOWN]
-    rho_du = atom_init[DOWN, UP]
-    ns = np.arange(n_max + 1)
-    m = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-    m[ns, ns] = ns + rho_uu * w[ns + 1] ** 2 - rho_dd * w[ns] ** 2
-    nb = ns[:-1]
-    m[nb + 1, nb] = -1j * rho_ud * w[nb + 1] * v[nb + 1]
-    m[nb, nb + 1] = 1j * rho_du * w[nb + 1] * np.conj(v[nb + 1])
+    diag, band = _kernels.dressing_n(v, w, 0, n_max + 1, atom_init[UP, UP].real,
+                                     atom_init[DOWN, DOWN].real, atom_init[UP, DOWN])
+    m = np.diag(diag) + np.diag(band[:-1], -1) + np.diag(band[:-1].conj(), 1)
     return EffectiveOperator("photon", t, m, atom_init)
 
 
@@ -373,13 +352,10 @@ def _tail_ok(partials: list[tuple[complex, complex]]) -> bool:
 
 
 def spin_plus_series(t: float, coherent: CoherentState, params: JcmParams) -> SpinDressing:
-    """Series coefficients of the dressed raising operator.
+    """Series coefficients of the dressed raising operator (sums of ``spin_plus_terms``).
 
-    Each term carries the Poisson weight p(n) of the coherent start (the
-    amplitude products <alpha|..|alpha> reduce to p(n) times ratio factors);
-    both correlation factors in the s1 product are conjugated; the free
-    limit g = 0 must give the bare Heisenberg phase e^{i omega0 t}, and the
-    brute-force engine confirms.  Requires alpha != 0 (s2..s4 divide by it).
+    The free limit g = 0 gives the bare Heisenberg phase e^{i omega0 t}, as
+    the brute-force engine confirms.  Requires alpha != 0.
     """
     if coherent.magnitude == 0.0:
         raise ValueError("spin series are undefined at alpha = 0; use the "
@@ -387,19 +363,10 @@ def spin_plus_series(t: float, coherent: CoherentState, params: JcmParams) -> Sp
     if coherent.n_max != params.n_max:
         raise ValueError("coherent state truncation does not match params")
     v, w = _corr_row(t, params)
-    p = coherent.weights()
-    alpha = coherent.alpha
-    ns = np.arange(params.n_max + 1, dtype=np.float64)
-    vn = v[1:]
-    vm = v[:-1]
-    wn = w[1:]
-    wm = w[:-1]
-    t1 = p * np.conj(vn) * np.conj(vm)
-    t2 = p * wn * wm * (np.conj(alpha) / alpha) * np.sqrt(ns / (ns + 1.0))
-    t3 = -1j * p * np.conj(vn) * wm * np.sqrt(ns) / alpha
-    t4 = 1j * p * np.conj(vm) * wn * np.conj(alpha) / np.sqrt(ns + 1.0)
-    sums = [complex(x.sum()) for x in (t1, t2, t3, t4)]
-    ok = _tail_ok([(s, complex(x[-1])) for s, x in zip(sums, (t1, t2, t3, t4))])
+    terms = _kernels.spin_plus_terms(v, w, 0, params.n_max + 1, coherent.weights(),
+                                     coherent.alpha)
+    sums = [complex(x.sum()) for x in terms]
+    ok = _tail_ok([(s, complex(x[-1])) for s, x in zip(sums, terms)])
     return SpinDressing("plus", t, *sums, tail_ok=ok)
 
 

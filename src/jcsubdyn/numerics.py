@@ -3,12 +3,11 @@
 Everything downstream works on plain ``numpy.ndarray`` objects with
 ``complex128`` entries in row-major order.  This module adds the checked
 operations the rest of the package relies on: Hermiticity validation,
-Hermitian eigendecomposition, and unitary generation ``exp(-i t H)``.
-
-Matrix exponentials go through the eigendecomposition on purpose: every
-generator here is Hermitian and small (a few hundred rows at most), and the
-spectral route gives unitarity to roundoff, which scaling-and-squaring does
-not guarantee.
+Hermitian eigendecomposition and unitarity checks.  The one matrix
+exponential, :class:`jcsubdyn.subdyn.SpectralPropagator`, is built on
+:func:`eigh_hermitian`: every generator here is Hermitian and small (a few
+hundred rows at most), and the spectral route gives unitarity to roundoff,
+which scaling-and-squaring does not guarantee.
 """
 
 from __future__ import annotations
@@ -16,25 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "adjoint",
     "max_abs",
     "require_finite",
     "hermiticity_defect",
     "require_hermitian",
     "hermitian_tolerance",
     "eigh_hermitian",
-    "evolution_operator",
     "unitarity_defect",
     "require_unitary",
 ]
 
 #: Default Hermiticity tolerance, relative to the max-abs norm of the matrix.
 DEFAULT_HERMITIAN_RTOL = 1e-12
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -81,12 +73,6 @@ def eigh_hermitian(m: np.ndarray, tol: float | None = None):
     m = require_hermitian(m, tol)
     evals, evecs = np.linalg.eigh(m)
     return evals, evecs
-
-
-def evolution_operator(h: np.ndarray, t: float, tol: float | None = None) -> np.ndarray:
-    """exp(-i t H) for Hermitian H, via the spectral decomposition."""
-    evals, evecs = eigh_hermitian(h, tol)
-    return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
 
 
 def unitarity_defect(u: np.ndarray) -> float:

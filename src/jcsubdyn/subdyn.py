@@ -200,10 +200,6 @@ class KrausSet:
     completeness_residual: float
 
 
-def _as_u4(u: np.ndarray, nph: int) -> np.ndarray:
-    return u.reshape(nph, ATOM_DIM, nph, ATOM_DIM)
-
-
 def kraus_extract(u: np.ndarray, side: str, coherent: CoherentState | None = None,
                   unitary_tol: float = _UNITARY_TOL) -> KrausSet:
     """Kraus family from matrix elements of a composite propagator.
@@ -215,7 +211,7 @@ def kraus_extract(u: np.ndarray, side: str, coherent: CoherentState | None = Non
     if u.shape[0] % ATOM_DIM:
         raise ValueError("composite dimension must be even")
     nph = u.shape[0] // ATOM_DIM
-    u4 = _as_u4(u, nph)
+    u4 = u.reshape(nph, ATOM_DIM, nph, ATOM_DIM)
     if side == "atom":
         if coherent is None:
             raise ValueError("atom-side extraction needs the initial coherent state")

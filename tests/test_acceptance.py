@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from jcsubdyn import analysis, jcm, subdyn
+from jcsubdyn import _kernels, analysis, jcm, subdyn
 from jcsubdyn.analysis import Scenario, collapse_revival_features, observable_series
 from jcsubdyn.hilbert import annihilation, coherent_state, number_op, pauli_ops, poisson_weights
 from jcsubdyn.jcm import JcmParams
@@ -56,10 +56,12 @@ def test_criterion_1_propagator_oracle_equivalence():
         for g in (0.02, 0.05, 0.1):
             p = JcmParams(1.0, omega0, g, 30)
             prop = subdyn.SpectralPropagator(jcm.hamiltonian(p).total)
-            for gt in rng.uniform(0.0, 50.0, size=50):
-                t = gt / g
-                defect = subdyn.validated_defect(jcm.closed_propagator(t, p), prop(t), p.n_max)
-                worst = max(worst, defect)
+            ts = rng.uniform(0.0, 50.0, size=50) / g
+            eye = np.eye(2 * p.space.dim)
+            # row k of closed_evolve(...)[i] is U(t_i)|k>, column k of U(t_i)
+            diff = jcm.closed_evolve(ts, p, eye) - prop.evolve(eye, ts)
+            keep = subdyn.composite_validated_indices(p.n_max)
+            worst = max(worst, max_abs(diff[:, keep][:, :, keep]))
     ok = worst < 1e-9
     assert report(1, "closed-form propagator vs spectral oracle", ok,
                   f"max validated deviation {worst:.3e}, tolerance 1e-9")
@@ -84,28 +86,91 @@ def test_criterion_2_kraus_completeness():
                   f"max residual excess over tail {worst_excess:.3e}")
 
 
+def _per_t_duality(t, p, coh):
+    """(lhs, rhs) of each operator at one time, from closed_marginal and the quasi_* operators."""
+    rho_rt = jcm.closed_marginal("photon", EXCITED, coh, t, p)
+    rho_at = jcm.closed_marginal("atom", EXCITED, coh, t, p)
+    rho_r0 = coh.density()
+    pauli = pauli_ops()
+    return {
+        "a": (np.trace(annihilation(p.space) @ rho_rt),
+              np.trace(jcm.quasi_annihilation(t, EXCITED, p).matrix @ rho_r0)),
+        "n": (np.trace(number_op(p.space) @ rho_rt),
+              np.trace(jcm.quasi_number(t, EXCITED, p).matrix @ rho_r0)),
+        "plus": (np.trace(pauli.plus @ rho_at),
+                 np.trace(jcm.quasi_sigma_plus(t, coh, p).matrix @ EXCITED)),
+        "z": (np.trace(pauli.z @ rho_at), np.trace(jcm.quasi_sigma_z(t, coh, p).matrix @ EXCITED)),
+    }
+
+
+def _batched_duality(ts, p, coh, rho):
+    """(lhs, rhs) of each operator over the times ``ts``, from batched closed forms.
+
+    lhs: Tr[O rho_sub(t)] = sum_ss' rho_ss' <psi_s'|O|psi_s> in the closed_evolve
+    states psi_s = U(t)|alpha, s>.  rhs: Tr[O_eff(t) rho_sub(0)] from the
+    _kernels dressing coefficients over the t axis.
+    """
+    n_max = p.n_max
+    amps = coh.amplitudes
+    kets = np.kron(amps, np.eye(2))  # row s is |alpha, s>
+    psi = jcm.closed_evolve(ts, p, kets).reshape(len(ts), 2, n_max + 1, 2)
+    pauli = pauli_ops()
+    eye_ph, eye_at = np.eye(n_max + 1), np.eye(2)
+
+    def lhs(photon_op, atom_op):
+        o_psi = np.einsum("mn,ab,xsnb->xsma", photon_op, atom_op, psi, optimize=True)
+        return np.einsum("st,xtma,xsma->x", rho, psi.conj(), o_psi)
+
+    v, w = _kernels.corr_tables(ts, p.half_detuning, p.g, n_max + 2)
+    rho_uu, rho_dd, rho_ud = rho[0, 0].real, rho[1, 1].real, rho[0, 1]
+    a_coef = _kernels.dressing_a(v, w, 0, n_max, rho_uu, rho_dd)
+    c_coef = _kernels.dressing_c(v, w, 1, n_max, rho[1, 0])
+    d_coef = _kernels.dressing_d(v, w, 0, n_max + 1, rho_ud)
+    near = amps[:-1].conj() * amps[1:]  # conj(alpha_n) alpha_{n+1}
+    rhs_a = np.exp(-1j * p.omega * ts) * (
+        a_coef @ (near * np.sqrt(np.arange(1.0, n_max + 1)))
+        + c_coef @ (amps[:-2].conj() * amps[2:])
+        + d_coef @ np.abs(amps) ** 2)
+    n_diag, n_band = _kernels.dressing_n(v, w, 0, n_max + 1, rho_uu, rho_dd, rho_ud)
+    rhs_n = n_diag @ np.abs(amps) ** 2 + 2.0 * (n_band[:, :-1] @ near.conj()).real
+    p_n = coh.weights()
+    s1p, s2p, s3p, s4p = (x.sum(axis=-1) for x in
+                          _kernels.spin_plus_terms(v, w, 0, n_max + 1, p_n, coh.alpha))
+    rhs_plus = np.exp(1j * p.omega * ts) * (s3p * rho[0, 0] + s1p * rho[1, 0]
+                                            + s2p * rho[0, 1] + s4p * rho[1, 1])
+    p_next = poisson_weights(coh.mean_photons, n_max + 1)[1:]
+    s1z, s2z, s3z = _kernels.inversion_series(v, w, 0, n_max + 1, p_n, p_next, coh.alpha)
+    rhs_z = s1z * rho[0, 0] + s3z * rho[1, 0] + np.conj(s3z) * rho[0, 1] + s2z * rho[1, 1]
+    return {
+        "a": (lhs(annihilation(p.space), eye_at), rhs_a),
+        "n": (lhs(number_op(p.space), eye_at), rhs_n),
+        "plus": (lhs(eye_ph, pauli.plus), rhs_plus),
+        "z": (lhs(eye_ph, pauli.z), rhs_z),
+    }
+
+
 def test_criterion_3_trace_duality():
-    """Tr[O rho_sub(t)] equals Tr[O_eff(t) rho_sub(0)] for a, N, sigma_+, sigma_z."""
+    """Tr[O rho_sub(t)] equals Tr[O_eff(t) rho_sub(0)] for a, N, sigma_+, sigma_z.
+
+    Both sides run batched over the whole grid; the per-t route (closed_marginal
+    and the quasi_* operators) is the reference at the first, an interior and
+    the last grid point.
+    """
     p = fig_params(10.0)
     coh = coherent_state(ROOT10, 0.0, p.space)
-    a_op = annihilation(p.space)
-    n_op = number_op(p.space)
-    pauli = pauli_ops()
-    rho_r0 = coh.density()
-    gts = np.linspace(0.0, 50.0, 2000)
+    ts = np.linspace(0.0, 50.0, 2000) / p.g
     worst = {"a": 0.0, "n": 0.0, "plus": 0.0, "z": 0.0}
-    for gt in gts:
-        t = gt / p.g
-        rho_rt = jcm.closed_marginal("photon", EXCITED, coh, t, p)
-        rho_at = jcm.closed_marginal("atom", EXCITED, coh, t, p)
-        pairs = {
-            "a": (np.trace(a_op @ rho_rt), np.trace(jcm.quasi_annihilation(t, EXCITED, p).matrix @ rho_r0)),
-            "n": (np.trace(n_op @ rho_rt), np.trace(jcm.quasi_number(t, EXCITED, p).matrix @ rho_r0)),
-            "plus": (np.trace(pauli.plus @ rho_at), np.trace(jcm.quasi_sigma_plus(t, coh, p).matrix @ EXCITED)),
-            "z": (np.trace(pauli.z @ rho_at), np.trace(jcm.quasi_sigma_z(t, coh, p).matrix @ EXCITED)),
-        }
-        for key, (lhs, rhs) in pairs.items():
-            worst[key] = max(worst[key], abs(lhs - rhs))
+    batched = {key: ([], []) for key in worst}
+    for lo in range(0, len(ts), _kernels.T_BLOCK):
+        for key, (lhs, rhs) in _batched_duality(ts[lo:lo + _kernels.T_BLOCK], p, coh,
+                                                EXCITED).items():
+            worst[key] = max(worst[key], float(np.max(np.abs(lhs - rhs))))
+            batched[key][0].append(lhs)
+            batched[key][1].append(rhs)
+    for k in (0, len(ts) // 2, len(ts) - 1):
+        for key, (lhs, rhs) in _per_t_duality(ts[k], p, coh).items():
+            lhs_b, rhs_b = (np.concatenate(side)[k] for side in batched[key])
+            worst[key] = max(worst[key], abs(lhs - rhs), abs(lhs - lhs_b), abs(rhs - rhs_b))
     overall = max(worst.values())
     ok = overall < 1e-9
     assert report(3, "trace duality for {a, N, sigma_+, sigma_z} over the gt grid", ok,

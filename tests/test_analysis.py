@@ -103,6 +103,34 @@ class TestObservableSeries:
         with pytest.raises(ValueError):
             fig_scenario(10.0, grid=(0.0, 10.0, 1))
 
+    @pytest.mark.parametrize("steps", [2.5, 40.0, True, "40"])
+    def test_non_integer_grid_steps_rejected(self, steps):
+        # np.linspace would raise TypeError later, in observable_series
+        with pytest.raises(ValueError, match="grid steps must be an integer"):
+            Scenario(params=JcmParams(1.0, 0.8, 0.02, 10), atom_init=np.diag([1.0, 0.0]),
+                     magnitude=1.0, grid=(0, 1, steps))
+
+    def test_numpy_integer_grid_steps_accepted(self):
+        assert len(fig_scenario(10.0, grid=(0.0, 1.0, np.int64(3))).gt_values()) == 3
+
+    def test_phase_budget_is_one_ulp_at_crosscheck_tol(self):
+        from jcsubdyn import cli
+
+        assert analysis.MAX_PHASE == cli.CROSSCHECK_TOL / np.finfo(np.float64).eps
+
+    def test_phase_budget_rejects_vanishing_coupling(self):
+        # gt up to 30 at g = 1e-300 means t = 3e301: no phase omega t keeps a digit
+        with pytest.raises(ValueError, match="phase rate x time 3e\\+301 exceeds"):
+            Scenario(params=JcmParams(1.0, 1.0, 1e-300, 12), atom_init=EXCITED, magnitude=1.0,
+                     grid=(0.0, 30.0, 200))
+
+    def test_phase_budget_counts_the_top_sector_rate(self):
+        # omega and omega0 are 1, but lam_{n_max} = g sqrt(n_max + 1) = 1e5
+        params = JcmParams(1.0, 1.0, 1e5 / math.sqrt(1e6 + 1), 10 ** 6)
+        with pytest.raises(ValueError, match="phase rate x time"):
+            Scenario(params=params, atom_init=EXCITED, grid=(0.0, 5e4 * params.g, 2))
+        Scenario(params=params, atom_init=EXCITED, grid=(0.0, 4e4 * params.g, 2))
+
     def test_oracle_channels_track_closed_forms(self):
         sc = fig_scenario(10.0, n_max=40, grid=(0.0, 18.0, 25), oracle=True)
         series = observable_series(sc)

@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import json
 import math
 import os
@@ -168,10 +170,23 @@ class TestInputHardening:
                 JcmParams(*args)
 
     def test_non_finite_output_refused(self, tmp_path, capsys):
-        # valid inputs whose phases omega * t overflow to non-finite channel values
+        # every input and the phase budget are finite, but the square of half the
+        # detuning overflows in the correlation tables, so every channel value is NaN
+        self._rejects(["--omega", "1e308", "--omega0=-7e307", "--g", "0.02", "--alpha-mag", "1",
+                       "--grid", "0", "1e-301", "3", "--format", "json"], tmp_path, capsys,
+                      "is not finite at 3 of 3 grid points")
+
+    def test_overflowing_phase_rejected_before_any_work(self, tmp_path, capsys):
+        # omega * t overflows to inf
         self._rejects(["--omega", "1e308", "--omega0", "1e308", "--g", "0.02", "--alpha-mag", "1",
                        "--grid", "0", "1", "3", "--format", "json"], tmp_path, capsys,
-                      "is not finite at 2 of 3 grid points")
+                      "phase rate x time inf exceeds")
+
+    def test_vanishing_coupling_rejected_by_phase_budget(self, tmp_path, capsys):
+        # gt 0..30 at g = 1e-300 reaches t = 3e301, where no phase keeps a digit
+        self._rejects(["--omega", "1", "--omega0", "1", "--g", "1e-300", "--alpha-mag", "1",
+                       "--n-max", "12", "--grid", "0", "30", "200"], tmp_path, capsys,
+                      "phase rate x time 3e+301 exceeds")
 
     def test_json_output_never_holds_nan(self, tmp_path):
         from jcsubdyn import analysis
@@ -310,6 +325,38 @@ def test_console_entry_point_runs():
     assert "gt grid" in proc.stdout
 
 
+def _figure1_digests():
+    """FIGURE1_SHA256 as perfbench/workloads.py pins it, read from its source."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["FIGURE1_SHA256"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no FIGURE1_SHA256")
+
+
+def _per_t_channels(scenario):
+    """Every default channel from the per-t operators in jcm, one grid point at a time."""
+    from jcsubdyn import analysis, jcm
+
+    p, rho, coh = scenario.params, scenario.atom_init, scenario.coherent()
+    amps, weights = coh.amplitudes, coh.weights()
+    lhs = coh.mean_photons + 0.5 * (rho[0, 0].real - rho[1, 1].real)
+    rows = []
+    for t in scenario.times():
+        qa = amps.conj() @ jcm.quasi_annihilation(t, rho, p).matrix @ amps
+        qn = (amps.conj() @ jcm.quasi_number(t, rho, p).matrix @ amps).real
+        qz = jcm.quasi_sigma_z(t, coh, p)
+        spec = analysis.sigma_z_spectrum(qz)
+        mean_z = np.trace(qz.matrix @ rho).real
+        qpl = analysis.qpl_dominance(t, rho, p, weights)
+        rows.append((abs(qa), qa.real, qa.imag, qn, mean_z, spec.offset, spec.dispersion,
+                     spec.upper, spec.lower, abs(qn + 0.5 * mean_z - lhs), qpl.ratio,
+                     qpl.weighted_deviation))
+    return dict(zip(analysis.DEFAULT_CHANNELS, np.array(rows).T))
+
+
 class TestBundledFigureConfig:
     def _series_from_csv(self, path):
         """Rebuild an analysis series from an emitted CSV (plot-tool viewpoint)."""
@@ -329,6 +376,21 @@ class TestBundledFigureConfig:
             channels=tuple(echo["channels"]), oracle=echo["oracle"])
         channels = {name: rows[:, i] for i, name in enumerate(header) if name != "gt"}
         return analysis.TimeSeries(scenario, rows[:, 0], channels, {})
+
+    def _describe_drift(self, series):
+        """First row and worst gap per channel against the per-t operators.
+
+        A libm or BLAS difference between platforms moves every channel by
+        roundoff only; a regression moves some channel by much more.
+        """
+        reference = _per_t_channels(series.scenario)
+        gaps = {name: np.abs(series.channels[name] - reference[name])
+                for name in series.channels}
+        beyond = np.flatnonzero(np.max(list(gaps.values()), axis=0) > 1e-9)
+        first = (f"first row beyond 1e-9: gt = {series.gt[beyond[0]]:.17g} (row {beyond[0]})"
+                 if beyond.size else "no row beyond 1e-9 (a roundoff-level difference)")
+        return first + "; max |csv - per-t| " + ", ".join(
+            f"{name}={gap.max():.2e}" for name, gap in gaps.items())
 
     def test_figure1_with_oracle_cross_checks_every_point(self, tmp_path, monkeypatch):
         repo_config = os.path.join(os.path.dirname(__file__), "..", "configs", "figure1.json")
@@ -357,10 +419,16 @@ class TestBundledFigureConfig:
         assert cli.main(["--config", os.path.abspath(repo_config)]) == 0
         names = ["figure1_detuning_7p5.csv", "figure1_detuning_10.csv",
                  "figure1_detuning_20.csv"]
+        expected = _figure1_digests()
+        assert sorted(expected) == sorted(names)
         revived = 0
         for name in names:
             assert (tmp_path / name).exists()
             series = self._series_from_csv(tmp_path / name)
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            if digest != expected[name]:
+                pytest.fail(f"{name}: sha256 {digest} != {expected[name]}; "
+                            + self._describe_drift(series))
             feats = analysis.collapse_revival_features(series)
             assert feats.collapse_detected
             assert -1.0 < feats.plateau < 1.0

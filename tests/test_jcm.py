@@ -114,17 +114,34 @@ class TestClosedPropagator:
         u = jcm.closed_propagator(917.0, params)
         assert max_abs(u.conj().T @ u - np.eye(u.shape[0])) < 1e-12
 
-    def test_phase_reconciliation_regression(self, params):
-        """closed = exp(-i omega t/2) * sector-phase form, away from the dangling state."""
+    def test_phase_reconciliation_regression(self, params, propagator):
+        """closed = exp(-i t H) on the whole space, the dangling |n_max, up> included.
+
+        The sector phases exp(-i omega t (n + 1)) carry the zero-point term of
+        the field; the dangling state keeps its free truncated phase, so its
+        diagonal entry has modulus 1 (a sector-phase v_{n_max} there would not).
+        """
         t = 333.0
-        bare = jcm.bare_propagator(t, params)
         closed = jcm.closed_propagator(t, params)
-        rebuilt = cmath.exp(-0.5j * params.omega * t) * bare
-        assert subdyn.validated_defect(closed, rebuilt, params.n_max) < 1e-14
-        # the sector-phase form's dangling column is sub-unitary, the closed one is not
+        assert max_abs(closed - propagator(t)) < 1e-9
         top = 2 * params.n_max
-        assert abs(abs(bare[top, top]) - 1.0) > 1e-3
         assert abs(abs(closed[top, top]) - 1.0) < 1e-12
+
+
+class TestClosedEvolve:
+    def test_rows_are_propagator_columns(self, params, coh, rng):
+        ts = np.array([0.0, 42.0, 917.0])
+        kets = np.vstack([np.kron(coh.amplitudes, [1.0, 0.0]),
+                          rng.standard_normal(2 * params.space.dim)])
+        out = jcm.closed_evolve(ts, params, kets)
+        assert out.shape == (3, 2, 2 * params.space.dim)
+        for i, t in enumerate(ts):
+            np.testing.assert_allclose(out[i], kets @ jcm.closed_propagator(t, params).T,
+                                       rtol=0, atol=1e-14)
+
+    def test_rejects_kets_of_another_space(self, params):
+        with pytest.raises(ValueError, match="composite space"):
+            jcm.closed_evolve([1.0], params, np.eye(2 * params.n_max))
 
 
 class TestClosedKraus:

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcsubdyn import cli, jcm
+from jcsubdyn import _kernels, cli, jcm, subdyn
 from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
 from jcsubdyn.hilbert import auto_n_max
 
@@ -58,5 +58,18 @@ def test_closed_channels_match_oracle(scenario):
 
 @given(scenarios())
 def test_block_unitarity(scenario):
-    v, w = jcm.correlation_tables(scenario.times(), scenario.params)
+    p = scenario.params
+    v, w = _kernels.corr_tables(scenario.times(), p.half_detuning, p.g, p.n_max + 2)
     assert np.max(np.abs(np.abs(v) ** 2 + w ** 2 - 1.0)) <= 1e-12
+
+
+@given(scenarios())
+def test_closed_evolve_matches_spectral_evolve(scenario):
+    """closed_evolve of each basis ket matches the spectral one on the validated subspace."""
+    p = scenario.params
+    ts = scenario.times()
+    eye = np.eye(2 * p.space.dim)
+    diff = (jcm.closed_evolve(ts, p, eye)
+            - subdyn.SpectralPropagator(jcm.hamiltonian(p).total).evolve(eye, ts))
+    keep = subdyn.composite_validated_indices(p.n_max)
+    assert np.max(np.abs(diff[:, keep][:, :, keep])) <= 1e-9

@@ -6,7 +6,7 @@ import pytest
 from jcsubdyn import jcm, subdyn
 from jcsubdyn.hilbert import (FockSpace, annihilation, coherent_state, number_op,
                               partial_trace, pauli_ops)
-from jcsubdyn.numerics import evolution_operator, max_abs
+from jcsubdyn.numerics import max_abs
 
 from conftest import random_density, random_hermitian
 
@@ -77,7 +77,7 @@ class TestEvolveAndReduce:
         rho_at = random_density(rng, 2)
         t = 2.3
         state = subdyn.evolve_and_reduce(ham, rho_ph, rho_at, t)
-        u_at = evolution_operator(h_at, t)
+        u_at = subdyn.SpectralPropagator(h_at)(t)
         np.testing.assert_allclose(state.atom, u_at @ rho_at @ u_at.conj().T, atol=1e-10)
 
     def test_marginals_are_densities(self, scenario):
@@ -209,7 +209,7 @@ class TestMixedWeightings:
     def system(self, rng):
         space = FockSpace(5)
         t = rng.uniform(0.5, 20.0)
-        u = evolution_operator(random_hermitian(rng, 2 * space.dim), t)
+        u = subdyn.SpectralPropagator(random_hermitian(rng, 2 * space.dim))(t)
         return space, u, t
 
     def _ops(self, space, rng):
