@@ -9,7 +9,7 @@ per-sector correlation factors
 
 against Poisson weights.  :func:`corr_tables` builds them as (v, w) tables
 with one row per time; :func:`channel_sums` reduces them one block of
-``T_BLOCK`` grid points at a time with numpy broadcasting.
+:func:`block_rows` grid points at a time with numpy broadcasting.
 
 Sector index convention: column ``j`` of a correlation table holds sector
 ``n = j - 1``; the leading ``n = -1`` column is the boundary sector with
@@ -33,6 +33,8 @@ import numpy as np
 
 __all__ = [
     "T_BLOCK",
+    "BLOCK_CELLS",
+    "block_rows",
     "active_lane",
     "corr_tables",
     "dressing_a",
@@ -44,10 +46,26 @@ __all__ = [
     "channel_sums",
 ]
 
-#: Grid points per table block.  A block's tables (about
-#: T_BLOCK * (n_max + 2) * 24 bytes each) stay cache-sized at the usual
-#: truncations, and peak memory does not grow with the grid length.
+#: Most grid points per block, here and in the oracle's evolved states.
 T_BLOCK = 512
+#: Most table cells (grid points x sectors) per block of :func:`channel_sums`:
+#: a complex temporary of a block then takes at most 256 KiB, so the few that
+#: a block keeps alive sit in a 2 MB per-core L2, and the allocator reuses
+#: their memory from block to block instead of returning and re-faulting it.
+BLOCK_CELLS = 1 << 14
+
+
+def block_rows(n_cols: int) -> int:
+    """Grid points per :func:`channel_sums` block for tables of ``n_cols`` columns:
+    ``T_BLOCK`` halved until the block holds at most ``BLOCK_CELLS`` cells.
+
+    Always a power of two: figure1's bytes are the same for blocks of 64 to
+    512 rows, not for blocks of 215, 323 or 431.
+    """
+    rows = T_BLOCK
+    while rows > 1 and rows * n_cols > BLOCK_CELLS:
+        rows //= 2
+    return rows
 
 
 def active_lane() -> str:
@@ -68,8 +86,14 @@ def corr_tables(ts: np.ndarray, half_det: float, g: float, n_cols: int):
     sin2t = np.where(lam > 0.0, kappa / safe, 0.0)
     phase = np.outer(ts, lam)
     sin_p = np.sin(phase)
-    v = np.cos(phase) + 1j * cos2t[None, :] * sin_p
-    w = sin2t[None, :] * sin_p
+    # v holds the bytes of cos(phase) + 1j * cos2t * sin_p, assembled without
+    # promoting the float tables to complex; the += 0.0 turns a -0 product
+    # into +0 as that expression's complex add does
+    v = np.empty(phase.shape, dtype=np.complex128)
+    v.real = np.cos(phase, out=phase)
+    np.multiply(cos2t, sin_p, out=v.imag)
+    v.imag += 0.0
+    w = np.multiply(sin2t, sin_p, out=sin_p)
     return v, w
 
 
@@ -153,15 +177,17 @@ def channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rh
     """Every closed-form channel sum over the grid ``ts``.
 
     Returns (s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a).
-    The tables are built and reduced one block of ``T_BLOCK`` grid points at
-    a time, so their memory stays O(T_BLOCK * n_max) for any grid length.
+    The tables are built and reduced one block of ``block_rows(n_max + 2)``
+    grid points at a time, so their memory stays O(BLOCK_CELLS) for any grid
+    length.
     """
     ts = np.asarray(ts, dtype=np.float64)
     args = (int(n_max), float(half_det), float(g), float(omega),
             np.asarray(p, dtype=np.float64), np.asarray(p1, dtype=np.float64),
             complex(alpha), float(rho_uu), float(rho_dd), complex(rho_ud))
-    blocks = [_channel_sums_block(ts[i:i + T_BLOCK], *args)
-              for i in range(0, max(len(ts), 1), T_BLOCK)]
+    rows = block_rows(args[0] + 2)
+    blocks = [_channel_sums_block(ts[i:i + rows], *args)
+              for i in range(0, max(len(ts), 1), rows)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 

@@ -444,34 +444,45 @@ class CollapseRevivalFeatures:
 _WINDOW_CELLS = 1 << 16
 
 
-def _rolling(y: np.ndarray, half: int):
+def _moments(seg: np.ndarray, with_std: bool):
+    """Mean, std (None unless ``with_std``) and max |seg - mean| over the last axis.
+
+    ``seg - mean`` is formed once for both; the std takes the reductions
+    ``np.std`` runs on it, so the values are those of ``seg.std(axis=-1)``.
+    """
+    m = seg.mean(axis=-1)
+    d = seg - m[..., None]
+    dev = np.abs(d).max(axis=-1)
+    std = np.sqrt(np.multiply(d, d, out=d).sum(axis=-1) / d.shape[-1]) if with_std else None
+    return m, std, dev
+
+
+def _rolling(y: np.ndarray, half: int, with_std: bool = True):
     """Centered rolling mean / std / max-deviation with edge clamping.
 
     Interior points reduce rows of a sliding window view, a bounded number
     of rows at a time; the ``2 * half`` clamped edge windows are reduced one
     at a time.  Both use the same numpy reductions on the same segments, so
-    the values do not depend on which branch a point falls in.
+    the values do not depend on which branch a point falls in.  The std is
+    None unless ``with_std``.
     """
     n = len(y)
     mean = np.empty(n)
-    std = np.empty(n)
+    std = np.empty(n) if with_std else None
     dev = np.empty(n)
     if n > 2 * half:
         win = sliding_window_view(y, 2 * half + 1)
         rows = max(1, _WINDOW_CELLS // win.shape[1])
         for lo in range(0, len(win), rows):
             block = win[lo:lo + rows]
-            m = block.mean(axis=1)
             out = slice(half + lo, half + lo + len(block))
-            mean[out] = m
-            std[out] = block.std(axis=1)
-            dev[out] = np.abs(block - m[:, None]).max(axis=1)
+            mean[out], sd, dev[out] = _moments(block, with_std)
+            if with_std:
+                std[out] = sd
     for i in itertools.chain(range(min(half, n)), range(max(half, n - half), n)):
-        seg = y[max(0, i - half):min(n, i + half + 1)]
-        m = seg.mean()
-        mean[i] = m
-        std[i] = seg.std()
-        dev[i] = np.abs(seg - m).max()
+        mean[i], sd, dev[i] = _moments(y[max(0, i - half):min(n, i + half + 1)], with_std)
+        if with_std:
+            std[i] = sd
     return mean, std, dev
 
 
@@ -536,7 +547,7 @@ def collapse_revival_features(series: TimeSeries, sigma_channel: str = "sigma_z_
             peaks.append(float(gt[r0 + k]))
 
     z = series.channel(photon_channel)
-    _, _, zdev = _rolling(z, half)
+    _, _, zdev = _rolling(z, half, with_std=False)
     quiet_k = i0 + int(np.argmin(zdev[i0:i1 + 1]))
     photon_quiet = float(gt[quiet_k])
     photon_peak = float("nan")

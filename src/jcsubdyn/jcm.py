@@ -107,6 +107,12 @@ class JcmParams:
             raise ValueError(f"g must be >= 0, got {self.g}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        # lam_n² of the top sector, as _kernels.corr_tables sums it
+        kappa = self.g * math.sqrt(self.n_max + 1.0)
+        lam2 = self.half_detuning * self.half_detuning + kappa * kappa
+        if not math.isfinite(lam2):
+            raise ValueError(f"half_detuning² + g²(n_max + 1), the top sector rate squared, "
+                             f"must be finite, got {lam2!r}")
 
     @property
     def detuning(self) -> float:

@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads OpenBLAS (it reads these once, at
+# load time): the tests multiply small matrices, and starting a thread pool
+# costs the first dense linear-algebra test about a second.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

@@ -399,14 +399,24 @@ def _runs_loop(mask):
 class TestWindowHelpers:
     """The vectorised window helpers must reproduce their loop references exactly."""
 
-    @pytest.mark.parametrize("half", [1, 3, 15, 22])
+    @pytest.mark.parametrize("half", [1, 3, 15, 22, 7, 19, 40])
     def test_rolling_bit_identical_to_loop(self, rng, half):
         # 2*half + 2 points: the two clamped edge ranges overlap in their windows;
-        # 4000 points span several row blocks of the window view
+        # 4000 points span several row blocks of the window view.  Compared as
+        # raw bytes, so a signed zero counts; without the std (the photon
+        # channel's path) the mean and deviation bytes must not change.
+        def raw(a):
+            return a.view(np.uint64)
+
         for n in (2 * half, 2 * half + 1, 2 * half + 2, 5 * half + 7, 400, 4000):
             y = rng.standard_normal(n) * rng.uniform(0.1, 10.0) + rng.uniform(-1.0, 1.0)
-            for got, want in zip(analysis._rolling(y, half), _rolling_loop(y, half)):
-                assert np.array_equal(got, want)
+            want = _rolling_loop(y, half)
+            for got, ref in zip(analysis._rolling(y, half), want):
+                assert np.array_equal(raw(got), raw(ref))
+            mean, std, dev = analysis._rolling(y, half, with_std=False)
+            assert std is None
+            assert np.array_equal(raw(mean), raw(want[0]))
+            assert np.array_equal(raw(dev), raw(want[2]))
 
     def test_runs_match_loop(self, rng):
         masks = [np.ones(17, bool), np.zeros(17, bool), np.zeros(0, bool),

@@ -169,12 +169,29 @@ class TestInputHardening:
             with pytest.raises(ValueError, match="must be finite"):
                 JcmParams(*args)
 
-    def test_non_finite_output_refused(self, tmp_path, capsys):
+    def test_overflowing_sector_rate_rejected(self, tmp_path, capsys):
         # every input and the phase budget are finite, but the square of half the
-        # detuning overflows in the correlation tables, so every channel value is NaN
+        # detuning overflows, and with it lam_n in the correlation tables
         self._rejects(["--omega", "1e308", "--omega0=-7e307", "--g", "0.02", "--alpha-mag", "1",
                        "--grid", "0", "1e-301", "3", "--format", "json"], tmp_path, capsys,
-                      "is not finite at 3 of 3 grid points")
+                      "half_detuning² + g²(n_max + 1), the top sector rate squared, "
+                      "must be finite, got inf")
+
+    def test_non_finite_output_refused(self, tmp_path, capsys, monkeypatch):
+        # the input checks keep every known overflow out, so a NaN channel is
+        # injected behind them: the run must still refuse to write it
+        from jcsubdyn import analysis
+
+        real = analysis.observable_series
+
+        def poisoned(*args, **kwargs):
+            series = real(*args, **kwargs)
+            series.channels["abs_quasi_a"][:] = math.nan
+            return series
+
+        monkeypatch.setattr(analysis, "observable_series", poisoned)
+        self._rejects(["--alpha-mag", "1", "--grid", "0", "1", "3", "--format", "json"],
+                      tmp_path, capsys, "abs_quasi_a is not finite at 3 of 3 grid points")
 
     def test_overflowing_phase_rejected_before_any_work(self, tmp_path, capsys):
         # omega * t overflows to inf

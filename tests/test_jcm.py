@@ -389,6 +389,18 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             JcmParams(1.0, 1.0, 0.1, 0)
 
+    def test_rejects_overflowing_sector_rate(self):
+        # each input and the detuning are finite; half_det² or g²(n_max + 1) is not
+        for args in ((1e308, -7e307, 0.02, 5), (1.0, 1.0, 1e154, 10)):
+            with pytest.raises(ValueError, match=r"top sector rate squared, must be finite"):
+                JcmParams(*args)
+
+    def test_accepted_sector_rates_keep_tables_finite(self):
+        # just inside the bound the correlation tables are finite at every column
+        for p in (JcmParams(1.2e154, -1.2e154, 0.02, 5), JcmParams(1.0, 1.0, 1e153, 10)):
+            v, w = _kernels.corr_tables([0.0, 1e-300], p.half_detuning, p.g, p.n_max + 2)
+            assert np.all(np.isfinite(v)) and np.all(np.isfinite(w))
+
     def test_detuning_is_derived(self):
         p = JcmParams(1.0, 0.85, 0.1, 10)
         assert p.detuning == 1.0 - 0.85
