@@ -9,7 +9,8 @@ per-sector correlation factors
 
 against Poisson weights.  :func:`corr_tables` builds them as (v, w) tables
 with one row per time; :func:`channel_sums` reduces them one block of
-:func:`block_rows` grid points at a time with numpy broadcasting.
+:func:`block_rows` grid points at a time with numpy broadcasting, on the
+caller and one helper thread.
 
 Sector index convention: column ``j`` of a correlation table holds sector
 ``n = j - 1``; the leading ``n = -1`` column is the boundary sector with
@@ -29,11 +30,17 @@ the per-t functions in :mod:`jcsubdyn.jcm` alike.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import os
+import threading
+
 import numpy as np
 
 __all__ = [
     "T_BLOCK",
     "BLOCK_CELLS",
+    "MATVEC_BYTES",
     "block_rows",
     "active_lane",
     "corr_tables",
@@ -53,6 +60,11 @@ T_BLOCK = 512
 #: a block keeps alive sit in a 2 MB per-core L2, and the allocator reuses
 #: their memory from block to block instead of returning and re-faulting it.
 BLOCK_CELLS = 1 << 14
+#: Every matrix-vector product of a block runs in row chunks of fewer bytes
+#: than this.  OpenBLAS runs a product on one thread below 4096 complex
+#: (64 KiB) or 9216 real (72 KiB) cells; above, it hands part of it to its
+#: pool thread, which then spins on the core the second block worker needs.
+MATVEC_BYTES = 1 << 16
 
 
 def block_rows(n_cols: int) -> int:
@@ -73,17 +85,75 @@ def active_lane() -> str:
     return "numpy"
 
 
-# --- correlation-factor tables ---------------------------------------------
+def _matvec(m, x):
+    """``m @ x``, for a 2-D ``m`` in row chunks of fewer than ``MATVEC_BYTES``.
 
-def corr_tables(ts: np.ndarray, half_det: float, g: float, n_cols: int):
-    """v and w tables of shape (len(ts), n_cols); column j is sector n = j-1."""
-    ts = np.asarray(ts, dtype=np.float64)
+    A chunk is a power of two rows, at least four, so each row sits where the
+    BLAS kernel's row groups put it in the whole product.  A lone last row
+    joins the chunk before it: numpy takes a one-row product through a dot
+    kernel, which rounds differently from the matrix-vector one.
+    """
+    if m.ndim != 2:
+        return m @ x
+    rows, row_bytes = m.shape[0], m.shape[1] * m.itemsize
+    step = 4
+    while 2 * step * row_bytes < MATVEC_BYTES:
+        step *= 2
+    if rows <= step + 1:
+        return m @ x
+    out = np.empty(rows, dtype=np.result_type(m, x))
+    x = x.astype(out.dtype, copy=False)
+    for start in range(0, rows - 1, step):
+        stop = start + step if start + step < rows - 1 else rows
+        np.matmul(m[start:stop], x, out=out[start:stop])
+    return out
+
+
+#: The t-independent sector factors, by the formula each evaluates over n.
+_SECTOR_FACTORS = {
+    "sqrt(n)": lambda n: np.sqrt(n),
+    "sqrt(n+1)": lambda n: np.sqrt(n + 1.0),
+    "1/sqrt(n+1)": lambda n: 1.0 / np.sqrt(n + 1.0),
+    "sqrt(n(n+1))": lambda n: np.sqrt(n * (n + 1.0)),
+    "sqrt((n+2)/(n+1))": lambda n: np.sqrt((n + 2.0) / (n + 1.0)),
+    "sqrt(n/(n+1))": lambda n: np.sqrt(n / (n + 1.0)),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _sector_factor(formula: str, lo: int, hi: int) -> np.ndarray:
+    """``_SECTOR_FACTORS[formula]`` over sectors n = lo..hi-1, computed once per
+    range instead of once per block; read-only, since every caller shares it."""
+    row = _SECTOR_FACTORS[formula](np.arange(lo, hi, dtype=np.float64))
+    row.flags.writeable = False
+    return row
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_rates(half_det_hex: str, g_hex: str, n_cols: int):
+    """lam, cos2t and sin2t of the table columns, read-only.
+
+    Keyed by the exact float bits (``float.hex``), so that -0.0 and 0.0,
+    which give differently signed zeros, are cached apart.
+    """
+    half_det, g = float.fromhex(half_det_hex), float.fromhex(g_hex)
     ns = np.arange(-1, n_cols - 1, dtype=np.float64)
     kappa = g * np.sqrt(ns + 1.0)
     lam = np.sqrt(half_det * half_det + kappa * kappa)
     safe = np.where(lam > 0.0, lam, 1.0)
     cos2t = np.where(lam > 0.0, half_det / safe, 1.0)
     sin2t = np.where(lam > 0.0, kappa / safe, 0.0)
+    for row in (lam, cos2t, sin2t):
+        row.flags.writeable = False
+    return lam, cos2t, sin2t
+
+
+# --- correlation-factor tables ---------------------------------------------
+
+def corr_tables(ts: np.ndarray, half_det: float, g: float, n_cols: int):
+    """v and w tables of shape (len(ts), n_cols); column j is sector n = j-1."""
+    ts = np.asarray(ts, dtype=np.float64)
+    lam, cos2t, sin2t = _sector_rates(float(half_det).hex(), float(g).hex(), int(n_cols))
     phase = np.outer(ts, lam)
     sin_p = np.sin(phase)
     # v holds the bytes of cos(phase) + 1j * cos2t * sin_p, assembled without
@@ -104,28 +174,28 @@ def dressing_a(v, w, lo, hi, rho_uu, rho_dd):
 
     Reads sectors n - 1..n + 1; pristine value 1.
     """
-    n = np.arange(lo, hi, dtype=np.float64)
     vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
     vp, wp = v[..., lo + 2:hi + 2], w[..., lo + 2:hi + 2]
-    a_up = np.conj(vn) * vp + wn * wp * np.sqrt((n + 2.0) / (n + 1.0))
-    a_dn = np.conj(vn) * v[..., lo:hi] + wn * w[..., lo:hi] * np.sqrt(n / (n + 1.0))
+    a_up = np.conj(vn) * vp + wn * wp * _sector_factor("sqrt((n+2)/(n+1))", lo, hi)
+    a_dn = (np.conj(vn) * v[..., lo:hi]
+            + wn * w[..., lo:hi] * _sector_factor("sqrt(n/(n+1))", lo, hi))
     return rho_uu * a_up + rho_dd * a_dn
 
 
 def dressing_c(v, w, lo, hi, rho_du):
     """C_n, the two-quantum |n-1><n+1| coefficient, for sectors n = lo..hi-1."""
-    n = np.arange(lo, hi, dtype=np.float64)
     vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
     vm, wm = v[..., lo:hi], w[..., lo:hi]
-    return 1j * rho_du * (wm * np.conj(vn) * np.sqrt(n + 1.0) - wn * np.conj(vm) * np.sqrt(n))
+    return 1j * rho_du * (wm * np.conj(vn) * _sector_factor("sqrt(n+1)", lo, hi)
+                          - wn * np.conj(vm) * _sector_factor("sqrt(n)", lo, hi))
 
 
 def dressing_d(v, w, lo, hi, rho_ud):
     """D_n, the quantum-conserving diagonal |n><n| coefficient, for sectors n = lo..hi-1."""
-    n = np.arange(lo, hi, dtype=np.float64)
     vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
     vm, wm = v[..., lo:hi], w[..., lo:hi]
-    return 1j * rho_ud * (wm * vn * np.sqrt(n) - wn * vm * np.sqrt(n + 1.0))
+    return 1j * rho_ud * (wm * vn * _sector_factor("sqrt(n)", lo, hi)
+                          - wn * vm * _sector_factor("sqrt(n+1)", lo, hi))
 
 
 def dressing_n(v, w, lo, hi, rho_uu, rho_dd, rho_ud):
@@ -146,9 +216,9 @@ def inversion_series(v, w, lo, hi, p, p1, alpha):
     """
     vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
     w2 = wn ** 2
-    s1 = 1.0 - 2.0 * (w2 @ p[lo:hi])
-    s2 = -1.0 + 2.0 * (w2 @ p1[lo:hi])
-    root = 1.0 / np.sqrt(np.arange(lo, hi - 1, dtype=np.float64) + 1.0)
+    s1 = 1.0 - 2.0 * _matvec(w2, p[lo:hi])
+    s2 = -1.0 + 2.0 * _matvec(w2, p1[lo:hi])
+    root = _sector_factor("1/sqrt(n+1)", lo, hi - 1)
     s3_terms = (p[lo:hi - 1] * root) * (wn[..., :-1] * np.conj(vn[..., :-1]))
     s3 = -2j * alpha * s3_terms.sum(axis=-1)
     return s1, s2, s3
@@ -173,22 +243,74 @@ def spin_plus_terms(v, w, lo, hi, p, alpha):
 
 # --- fused channel sums ------------------------------------------------------
 
+#: dtypes of the eight outputs of :func:`channel_sums`, in order.
+_SUM_DTYPES = (np.float64, np.float64, np.complex128, np.complex128,
+               np.float64, np.float64, np.float64, np.float64)
+
+
+def _block_workers(n_blocks: int) -> int:
+    """Threads that reduce ``n_blocks`` blocks: the caller, plus one helper when
+    there are two blocks or more and this process may run on two CPUs or more."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 if n_blocks > 1 and (cpus or 1) > 1 else 1
+
+
 def channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rho_ud):
     """Every closed-form channel sum over the grid ``ts``.
 
     Returns (s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a).
     The tables are built and reduced one block of ``block_rows(n_max + 2)``
     grid points at a time, so their memory stays O(BLOCK_CELLS) for any grid
-    length.
+    length.  The caller and, with two blocks or more, one helper thread claim
+    the blocks in turn and write each block's rows into the outputs; each
+    block's values do not depend on which of them reduced it.
     """
     ts = np.asarray(ts, dtype=np.float64)
     args = (int(n_max), float(half_det), float(g), float(omega),
             np.asarray(p, dtype=np.float64), np.asarray(p1, dtype=np.float64),
             complex(alpha), float(rho_uu), float(rho_dd), complex(rho_ud))
     rows = block_rows(args[0] + 2)
-    blocks = [_channel_sums_block(ts[i:i + rows], *args)
-              for i in range(0, max(len(ts), 1), rows)]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    n_blocks = -(-len(ts) // rows)
+    sums = tuple(np.empty(len(ts), dtype=dtype) for dtype in _SUM_DTYPES)
+    # next() on a count is atomic under the GIL; a claim duplicated without
+    # one would only reduce a block twice, to the same bytes
+    claims = itertools.count()
+    errors = []  # the first error stops both workers
+
+    def reduce_blocks():
+        for k in claims:
+            if k >= n_blocks or errors:
+                return
+            rows_k = slice(k * rows, (k + 1) * rows)
+            for out, part in zip(sums, _channel_sums_block(ts[rows_k], *args)):
+                out[rows_k] = part
+
+    if _block_workers(n_blocks) == 1:
+        reduce_blocks()
+        return sums
+
+    # numpy keeps its floating-point error state per thread: hand the caller's on
+    err, errcall = np.geterr(), np.geterrcall()
+
+    def helper():
+        try:
+            with np.errstate(call=errcall, **err):
+                reduce_blocks()
+        except BaseException as exc:  # re-raised on the caller below
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper, name="jcsubdyn-channel-sums", daemon=True)
+    thread.start()
+    try:
+        reduce_blocks()
+    except BaseException as exc:
+        errors.append(exc)
+        raise
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sums
 
 
 def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
@@ -204,24 +326,28 @@ def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
 
     s1z, s2z, s3z = inversion_series(v, w, 0, n_max + 1, p, p1, alpha)
 
-    root = 1.0 / np.sqrt(ns[:-1] + 1.0)
-    quasi_n = ((wn ** 2) @ (p * rho_uu)) - ((wm ** 2) @ (p * rho_dd)) + float(ns @ p)
+    root = _sector_factor("1/sqrt(n+1)", 0, n_max)
+    quasi_n = (_matvec(wn ** 2, p * rho_uu) - _matvec(wm ** 2, p * rho_dd)
+               + float(ns @ p))
     cross = -1j * rho_ud * np.conj(alpha) * ((p[:-1] * root) * (wn[:, :-1] * vn[:, :-1])).sum(axis=1)
     quasi_n = quasi_n + 2.0 * cross.real
 
+    # each coefficient table goes as soon as its three sums are taken
     a_coef = dressing_a(v, w, 0, n_max, rho_uu, rho_dd)
+    a_sum = _matvec(a_coef, p[:-1])
+    qpl_dev = _matvec(np.abs(a_coef - 1.0), p[:-1])
+    qpl_abs_a = _matvec(np.abs(a_coef), p[:-1])
+    del a_coef
     d_coef = dressing_d(v, w, 0, n_max + 1, rho_ud)
+    d_sum = _matvec(d_coef, p)
+    qpl_cd = _matvec(np.abs(d_coef), p)
+    del d_coef
     c_coef = dressing_c(v, w, 1, n_max, np.conj(rho_ud))
+    c_sum = _matvec(c_coef, p[:-2] / _sector_factor("sqrt(n(n+1))", 1, n_max))
+    qpl_cd = qpl_cd + _matvec(np.abs(c_coef), p[1:-1])
+    del c_coef
 
-    nc = ns[1:-1]  # n = 1..n_max-1
     rot = np.exp(-1j * omega * ts)
-    quasi_a = rot * (alpha * (a_coef @ p[:-1])
-                     + alpha * alpha * (c_coef @ (p[:-2] / np.sqrt(nc * (nc + 1.0))))
-                     + d_coef @ p)
-
-    qpl_dev = np.abs(a_coef - 1.0) @ p[:-1]
-    qpl_abs_a = np.abs(a_coef) @ p[:-1]
-    qpl_cd = np.abs(d_coef) @ p
-    qpl_cd = qpl_cd + np.abs(c_coef) @ p[1:-1]
+    quasi_a = rot * (alpha * a_sum + alpha * alpha * c_sum + d_sum)
 
     return s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a

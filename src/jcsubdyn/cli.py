@@ -44,6 +44,9 @@ __all__ = ["main", "run_scenario", "emit_output"]
 
 #: Worst tolerated closed-vs-brute-force channel deviation before exit 3.
 CROSSCHECK_TOL = 1e-6
+#: CSV rows formatted per string handed to the file: the text of a long grid
+#: is never held whole.
+CSV_CHUNK_ROWS = 256
 
 
 class ConfigError(ValueError):
@@ -253,13 +256,14 @@ def _resolve(cfg: dict, tail_tol: float):
     return scenario, (fmt, merged["output"]["path"]), echo, tail_warning
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` through a temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcsubdyn-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(data)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -271,21 +275,28 @@ def _atomic_write(path: str, data: str) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
+def _csv_chunks(head: str, row: str, table: np.ndarray):
+    """``head``, then the table formatted ``row`` by row, ``CSV_CHUNK_ROWS`` rows per string."""
+    yield head
+    for start in range(0, len(table), CSV_CHUNK_ROWS):
+        chunk = table[start:start + CSV_CHUNK_ROWS].tolist()
+        yield "".join(row % tuple(values) for values in chunk)
+
+
 def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) -> None:
     """Serialize a series deterministically; CSV embeds the scenario as '#' comments."""
     meta = dict(series.metadata)
     meta["version"] = __version__
     names = sorted(series.channels)
     if fmt == "csv":
-        lines = [
+        head = [
             "# scenario: " + json.dumps(echo, sort_keys=True, separators=(",", ":")),
             "# metadata: " + json.dumps(_jsonable(meta), sort_keys=True, separators=(",", ":")),
             "gt," + ",".join(names),
         ]
-        row = ",".join(["%.17g"] * (1 + len(names)))
+        row = ",".join(["%.17g"] * (1 + len(names))) + "\n"
         table = np.column_stack([series.gt] + [series.channels[n] for n in names])
-        lines.extend(row % tuple(values) for values in table.tolist())
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _atomic_write(path, _csv_chunks("".join(line + "\n" for line in head), row, table))
     elif fmt == "json":
         doc = {
             "scenario": echo,
@@ -293,7 +304,7 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
             "channels": {n: [float(x) for x in series.channels[n]] for n in names},
             "metadata": _jsonable(meta),
         }
-        _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"])
     else:
         raise OutputError(f"unknown output format {fmt!r}")
 

@@ -1,12 +1,24 @@
-"""Correlation tables are block-unitary and bytewise their literal assembly, and t-blocking the channel sums changes neither values nor memory growth."""
+"""Correlation tables are block-unitary and bytewise their literal assembly, and
+t-blocking the channel sums, or reducing the blocks on two threads, changes
+neither values nor memory growth."""
 
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from jcsubdyn import _kernels
-from jcsubdyn.hilbert import poisson_weights
+from jcsubdyn import _kernels, cli
+from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
+from jcsubdyn.hilbert import auto_n_max, poisson_weights
+from jcsubdyn.jcm import JcmParams
 
 CASES = [
     # (half_det, g, n_max, mean, rho_uu, rho_ud)
@@ -120,3 +132,173 @@ def test_table_memory_bounded_on_long_grid():
         tracemalloc.stop()
     assert len(out[0]) == 50_000
     assert peak < 40e6, f"peak traced allocation {peak / 1e6:.1f} MB"
+
+
+# --- pinned bytes of the mixed-start channel sums ---------------------------
+
+# (half_det, g, n_max, mean, rho_uu, rho_ud, steps); each starts the atom in a
+# superposition, so C_n and D_n reach quasi_a and qpl_cd (figure1 starts in
+# |up> and its SHA-256 gate cannot see them).  At n_max 86 the last of four
+# 128-row blocks holds 33 rows, a 32-row complex product chunk and a lone row;
+# at n_max 36 the last 256-row block holds 129, a lone row after both the real
+# (128-row) and the complex (64-row) chunks; at n_max 20 the last 512-row
+# block holds a single grid point.
+PINNED = [
+    (-0.19, 0.02, 86, 40.0, 0.9, 0.24 + 0.13j, 417),
+    (0.15, 0.02, 36, 10.0, 0.6, -0.3 + 0.35j, 641),
+    (-0.07, 0.05, 20, 5.0, 0.3, 0.1 - 0.42j, 1025),
+]
+#: SHA-256 over the eight outputs of channel_sums (dtype name, then bytes) as
+#: the serial, unchunked implementation wrote them.  Like the figure1 digests
+#: they depend on libm and the BLAS kernels.
+PINNED_SHA256 = [
+    "77e87d85dcde652225c6446550d43fb26a81e872307758b7642da5fed01af8fa",
+    "94bc12565c54c78f49982f0f4247511c58e098ef55fbc583f8a318cedbdd5ae0",
+    "3ed85e60cbd84d52f5d0289033b87a6de4b0d3dae257b52de4952c0460ce8c0c",
+]
+
+
+def _pinned_args(half_det, g, n_max, mean, rho_uu, rho_ud, steps):
+    ts = np.linspace(0.0, 150.0 / g, steps)
+    p = poisson_weights(mean, n_max)
+    p1 = poisson_weights(mean, n_max + 1)[1:]
+    alpha = complex(np.sqrt(mean)) * np.exp(-0.7j)
+    return ts, n_max, half_det, g, 1.0, p, p1, alpha, rho_uu, 1.0 - rho_uu, rho_ud
+
+
+def _digest(sums):
+    h = hashlib.sha256()
+    for out in sums:
+        h.update(out.dtype.name.encode())
+        h.update(np.ascontiguousarray(out).tobytes())
+    return h.hexdigest()
+
+
+def pinned_digests():
+    """Digests of channel_sums over the PINNED scenarios (also run in a subprocess)."""
+    return [_digest(_kernels.channel_sums(*_pinned_args(*case))) for case in PINNED]
+
+
+def test_pinned_scenarios_reach_their_chunk_shapes():
+    rows = [_kernels.block_rows(case[2] + 2) for case in PINNED]
+    assert rows == [128, 256, 512]
+    assert [case[-1] % r for case, r in zip(PINNED, rows)] == [33, 129, 1]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED)))
+def test_mixed_start_sums_keep_their_bytes(index):
+    args = _pinned_args(*PINNED[index])
+    got = _kernels.channel_sums(*args)
+    digest = _digest(got)
+    if digest != PINNED_SHA256[index]:
+        # a libm or BLAS difference moves every output by roundoff only
+        whole = _kernels._channel_sums_block(*args)
+        names = ("s1z", "s2z", "s3z", "quasi_a", "quasi_n", "qpl_dev", "qpl_cd", "qpl_abs_a")
+        pytest.fail(f"sha256 {digest} != {PINNED_SHA256[index]}; max |blocked - one table| "
+                    + ", ".join(f"{name}={np.max(np.abs(a - b)):.2e}"
+                                for name, a, b in zip(names, got, whole)))
+
+
+def test_sums_do_not_depend_on_the_blas_thread_count():
+    """Two OpenBLAS threads (the benchmark's setting; Tier-1 runs one) give the pinned bytes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__),
+                                           os.environ.get("PYTHONPATH", "")]))
+    code = "import json, test_kernels; print(json.dumps(test_kernels.pinned_digests()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == PINNED_SHA256
+
+
+# --- the two block workers --------------------------------------------------
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(_kernels, "_block_workers", lambda n_blocks: workers)
+
+
+def _in_helper_block(monkeypatch, action):
+    """Run ``action()`` in a block the helper thread reduces, before the caller
+    reduces any: the caller's first block waits for the helper's."""
+    real = _kernels._channel_sums_block
+    caller = threading.get_ident()
+    helper_began = threading.Event()
+
+    def block(*args):
+        if threading.get_ident() == caller:
+            assert helper_began.wait(30), "the helper thread reduced no block"
+        else:
+            try:
+                action()
+            finally:
+                helper_began.set()
+        return real(*args)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(_kernels, "_channel_sums_block", block)
+
+
+def test_two_workers_match_one_bitwise(monkeypatch):
+    for case in PINNED:
+        args = _pinned_args(*case)
+        _force_workers(monkeypatch, 1)
+        serial = _kernels.channel_sums(*args)
+        _force_workers(monkeypatch, 2)
+        threaded = _kernels.channel_sums(*args)
+        for a, b in zip(serial, threaded):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_no_thread_outlives_the_call(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    before = threading.active_count()
+    _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+    assert threading.active_count() == before
+
+
+def test_helper_block_error_reaches_the_caller(monkeypatch):
+    def fail():
+        raise ValueError("raised in a helper block")
+
+    _in_helper_block(monkeypatch, fail)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="raised in a helper block"):
+        _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+    assert threading.active_count() == before
+
+
+def _overflow():
+    np.exp(np.array([1000.0]))
+
+
+def test_helper_block_keeps_the_callers_raise_errstate(monkeypatch):
+    _in_helper_block(monkeypatch, _overflow)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+
+
+def test_helper_block_keeps_the_callers_ignore_errstate(monkeypatch):
+    _in_helper_block(monkeypatch, _overflow)
+    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_sweep_scale_blocks_match_the_oracle(monkeypatch):
+    """|alpha|² = 40 (n_max 86, the sweep's truncation) on 400 points: four
+    128-row blocks, the sweep's block shape, reduced by both workers."""
+    _force_workers(monkeypatch, 2)
+    g, ratio = 0.02, 9.5
+    n_max = auto_n_max(40.0)
+    assert n_max == 86 and 400 > 3 * _kernels.block_rows(n_max + 2) == 3 * 128
+    theta, phi = 0.6, 5.8
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    rho = np.array([[c * c, c * s * np.exp(-1j * phi)], [c * s * np.exp(1j * phi), s * s]])
+    scenario = Scenario(params=JcmParams(1.0, 1.0 - ratio * g, g, n_max), atom_init=rho,
+                        magnitude=math.sqrt(40.0), grid=(0.0, 200.0, 400), oracle=True)
+    deviations = observable_series(scenario).metadata["oracle_deviation"]
+    assert set(deviations) == set(ORACLE_CHANNELS)
+    assert max(deviations.values()) <= cli.CROSSCHECK_TOL
