@@ -81,7 +81,6 @@ class Scenario:
     grid: tuple[float, float, int] = (0.0, 50.0, 2000)
     channels: tuple[str, ...] = DEFAULT_CHANNELS
     oracle: bool = False
-    label: str = "scenario"
 
     def __post_init__(self):
         start, stop, steps = self.grid
@@ -171,9 +170,6 @@ def _closed_channels(scenario: Scenario):
 #: Per-point state check of the oracle: max gap of the evolved norms from
 #: their t = 0 value and of the up/down overlap from 0.
 _STATE_TOL = 1e-10
-#: Gap allowed between the Heisenberg-route and state values of a channel;
-#: the same ``crosscheck_tol`` the two Heisenberg routes keep between them.
-_HEISENBERG_TOL = 1e-9
 #: Grid indices at which the oracle also runs both Heisenberg routes: both ends.
 _HEISENBERG_POINTS = (0, -1)
 
@@ -214,7 +210,7 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
     block of ``_kernels.T_BLOCK`` points at a time.  At every point their
     norms and overlap are checked (``_STATE_TOL``); at ``_HEISENBERG_POINTS``
     both effective-operator routes run as well and their channel values must
-    match (``_HEISENBERG_TOL``).
+    match (``subdyn.ROUTE_TOL``, the gap the two routes keep between them).
     """
     p = scenario.params
     h = jcm.hamiltonian(p).total
@@ -254,10 +250,10 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
         routes = (abs(amps.conj() @ eff_a @ amps), (amps.conj() @ eff_n @ amps).real,
                   np.trace(eff_z @ rho_atom).real, *np.linalg.eigvalsh(eff_z))
         gap = float(np.max(np.abs(np.array(routes) - values[:, k])))
-        if not gap <= _HEISENBERG_TOL:
+        if not gap <= subdyn.ROUTE_TOL:
             raise subdyn.CrossCheckError(
                 f"Heisenberg routes and evolved states disagree at gt = {gts[k]:g} "
-                f"by {gap:.3e} (> {_HEISENBERG_TOL:.1e})")
+                f"by {gap:.3e} (> {subdyn.ROUTE_TOL:.1e})")
 
     abs_a, quasi_n, mean_z, lower, upper = values
     return {
@@ -320,12 +316,17 @@ class SigmaZSpectrum:
         return self.offset - self.dispersion
 
 
-def sigma_z_spectrum(eff: subdyn.EffectiveOperator, crosscheck_tol: float = 1e-10) -> SigmaZSpectrum:
+#: Largest gap :func:`sigma_z_spectrum` allows between its closed form and
+#: the eigendecomposition.
+_SPECTRUM_TOL = 1e-10
+
+
+def sigma_z_spectrum(eff: subdyn.EffectiveOperator) -> SigmaZSpectrum:
     """Spectrum of a 2x2 dressed inversion operator.
 
     Uses the entrywise closed form offset = (m00 + m11)/2 and
     dispersion = sqrt(((m00 - m11)/2)² + |m01|²), cross-checked against the
-    direct eigendecomposition.
+    direct eigendecomposition within ``_SPECTRUM_TOL``.
     """
     m = eff.matrix
     if m.shape != (2, 2):
@@ -334,7 +335,7 @@ def sigma_z_spectrum(eff: subdyn.EffectiveOperator, crosscheck_tol: float = 1e-1
     dispersion = math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
     evals = np.linalg.eigvalsh(m)
     defect = max(abs(offset - dispersion - evals[0]), abs(offset + dispersion - evals[1]))
-    if defect > crosscheck_tol:
+    if defect > _SPECTRUM_TOL:
         raise subdyn.CrossCheckError(
             f"spectrum formulas disagree with eigendecomposition by {defect:.3e}")
     return SigmaZSpectrum(eff.t, float(offset), float(dispersion))
@@ -439,6 +440,10 @@ class CollapseRevivalFeatures:
     photon_peak_time: float
 
 
+#: Collapse: the rolling std stays below this fraction of the initial amplitude.
+_QUIET_FRACTION = 0.05
+#: Revival: the rolling envelope exceeds this multiple of the collapse floor.
+_REVIVAL_FACTOR = 3.0
 #: Window cells reduced at once by :func:`_rolling`.  Its temporaries stay
 #: at 512 KB however dense the grid; unblocked they are steps x window width.
 _WINDOW_CELLS = 1 << 16
@@ -492,17 +497,15 @@ def _runs(mask: np.ndarray):
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def collapse_revival_features(series: TimeSeries, sigma_channel: str = "sigma_z_upper",
-                              photon_channel: str = "quasi_n",
-                              quiet_fraction: float = 0.05,
-                              revival_factor: float = 3.0) -> CollapseRevivalFeatures:
+def collapse_revival_features(series: TimeSeries,
+                              sigma_channel: str = "sigma_z_upper") -> CollapseRevivalFeatures:
     """Detect collapse windows and revival peaks on a dressed-inversion channel.
 
     Collapse: the centered rolling standard deviation (window of one mean
-    exchange period) stays below ``quiet_fraction`` of the initial
+    exchange period) stays below ``_QUIET_FRACTION`` of the initial
     oscillation amplitude.  Revival: the rectified rolling envelope exceeds
-    ``revival_factor`` times the collapse floor after the quiet window, with
-    an interior local maximum.  Photon-channel extremum times (quietest point
+    ``_REVIVAL_FACTOR`` times the collapse floor after the quiet window, with
+    an interior local maximum.  ``quasi_n`` extremum times (quietest point
     inside the collapse window, strongest post-collapse deviation) are
     reported for the back-action alignment checks.
     """
@@ -522,7 +525,7 @@ def collapse_revival_features(series: TimeSeries, sigma_channel: str = "sigma_z_
     mean, std, dev = _rolling(y, half)
     first = y[: max(2 * (2 * half + 1), 8)]
     amp0 = 0.5 * (first.max() - first.min())
-    threshold = quiet_fraction * amp0
+    threshold = _QUIET_FRACTION * amp0
 
     quiet = std < threshold
     runs = [r for r in _runs(quiet) if r[1] - r[0] + 1 >= 2 * half + 1]
@@ -536,7 +539,7 @@ def collapse_revival_features(series: TimeSeries, sigma_channel: str = "sigma_z_
 
     onsets = []
     peaks = []
-    post = dev > revival_factor * max(floor, 1e-300)
+    post = dev > _REVIVAL_FACTOR * max(floor, 1e-300)
     post[: i1 + 1] = False
     for r0, r1 in _runs(post):
         onsets.append(float(gt[r0]))
@@ -546,7 +549,7 @@ def collapse_revival_features(series: TimeSeries, sigma_channel: str = "sigma_z_
         if r1 < len(gt) - 1 or (k < len(seg) - 1):
             peaks.append(float(gt[r0 + k]))
 
-    z = series.channel(photon_channel)
+    z = series.channel("quasi_n")
     _, _, zdev = _rolling(z, half, with_std=False)
     quiet_k = i0 + int(np.argmin(zdev[i0:i1 + 1]))
     photon_quiet = float(gt[quiet_k])

@@ -194,7 +194,6 @@ def _resolve(cfg: dict, tail_tol: float):
         raise ConfigError(f"alpha_mag squared (the mean photon number) must be finite, got {mag!r}")
 
     n_max_cfg = merged["n_max"]
-    tail_warning = False
     if n_max_cfg == "auto":
         try:
             n_max = max(hilbert.auto_n_max(mag * mag, tail_tol), 8)
@@ -231,17 +230,11 @@ def _resolve(cfg: dict, tail_tol: float):
 
     try:
         params = JcmParams(omega, omega0, g, n_max)
-        label = os.path.splitext(os.path.basename(str(merged["output"]["path"])))[0]
         scenario = analysis.Scenario(
             params=params, atom_init=rho, magnitude=mag, phase=phase, grid=grid,
-            channels=tuple(merged["channels"]), oracle=merged["oracle"],
-            label=label or "scenario")
+            channels=tuple(merged["channels"]), oracle=merged["oracle"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    coh = scenario.coherent()
-    if coh.tail_mass >= tail_tol:
-        tail_warning = True
 
     echo = {
         "omega": omega, "omega0": omega0, "g": g,
@@ -253,7 +246,7 @@ def _resolve(cfg: dict, tail_tol: float):
         "oracle": scenario.oracle,
         "output": {"format": fmt, "path": merged["output"]["path"]},
     }
-    return scenario, (fmt, merged["output"]["path"]), echo, tail_warning
+    return scenario, (fmt, merged["output"]["path"]), echo
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -291,7 +284,7 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
     if fmt == "csv":
         head = [
             "# scenario: " + json.dumps(echo, sort_keys=True, separators=(",", ":")),
-            "# metadata: " + json.dumps(_jsonable(meta), sort_keys=True, separators=(",", ":")),
+            "# metadata: " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
             "gt," + ",".join(names),
         ]
         row = ",".join(["%.17g"] * (1 + len(names))) + "\n"
@@ -302,31 +295,16 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
             "scenario": echo,
             "gt": [float(x) for x in series.gt],
             "channels": {n: [float(x) for x in series.channels[n]] for n in names},
-            "metadata": _jsonable(meta),
+            "metadata": meta,
         }
         _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"])
     else:
         raise OutputError(f"unknown output format {fmt!r}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def run_scenario(cfg: dict, tail_tol: float = hilbert.DEFAULT_TAIL_TOL) -> int:
     """Run one resolved scenario dict; returns a process exit code."""
-    scenario, (fmt, path), echo, tail_warning = _resolve(cfg, tail_tol)
-    if tail_warning:
-        print(f"warning: coherent tail mass exceeds {tail_tol:g} at n_max={scenario.params.n_max}; "
-              "results include truncation error", file=sys.stderr)
+    scenario, (fmt, path), echo = _resolve(cfg, tail_tol)
     with np.errstate(all="ignore"):  # a non-finite result is refused below, in one line
         series = analysis.observable_series(scenario, tail_tol)
     for name, values in {"gt": series.gt, **series.channels}.items():
@@ -334,6 +312,9 @@ def run_scenario(cfg: dict, tail_tol: float = hilbert.DEFAULT_TAIL_TOL) -> int:
         if bad:
             raise ConfigError(f"{name} is not finite at {bad} of {len(values)} grid points; "
                               "nothing written")
+    if not series.metadata["tail_ok"]:
+        print(f"warning: coherent tail mass exceeds {tail_tol:g} at n_max={scenario.params.n_max}; "
+              "results include truncation error", file=sys.stderr)
     if scenario.oracle:
         worst = series.metadata.get("oracle_deviation_max", 0.0)
         if worst > CROSSCHECK_TOL:

@@ -51,9 +51,9 @@ ATOM_DIM = 2
 #: Truncation is considered faithful when the coherent tail mass stays below this.
 DEFAULT_TAIL_TOL = 1e-10
 
-# Above this index the running factorial product would overflow float64,
-# so Poisson weights switch to the log domain (lgamma).
-_LOG_DOMAIN_N = 150
+#: Gap a density matrix may show in Hermiticity, in unit trace and below zero
+#: in its eigenvalues.
+_DENSITY_TOL = 1e-10
 #: Largest truncation :func:`auto_n_max` searches.
 _AUTO_N_MAX_LIMIT = 100000
 
@@ -118,8 +118,9 @@ def quadrature_ops(space: FockSpace, omega: float):
 def poisson_weights(mean: float, n_max: int) -> np.ndarray:
     """p(n) = exp(-mean) mean^n / n! for n = 0..n_max.
 
-    Uses the running-product recurrence; falls back to the log domain
-    (lgamma) when the recurrence would underflow or n grows past 150.
+    Uses the running-product recurrence, whose terms cannot overflow; falls
+    back to the log domain (lgamma) when exp(-mean) would underflow.  Either
+    way p(n) does not depend on ``n_max``.
     """
     if mean < 0:
         raise ValueError("mean must be >= 0")
@@ -127,7 +128,7 @@ def poisson_weights(mean: float, n_max: int) -> np.ndarray:
         p = np.zeros(n_max + 1)
         p[0] = 1.0
         return p
-    if n_max <= _LOG_DOMAIN_N and mean < 700.0:
+    if mean < 700.0:
         p = np.empty(n_max + 1)
         p[0] = math.exp(-mean)
         for n in range(n_max):
@@ -155,10 +156,7 @@ def auto_n_max(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
         raise ValueError(f"mean must be in [0, {_AUTO_N_MAX_LIMIT}), got {mean!r}")
     low = top = max(1, int(math.ceil(mean)))
     while True:
-        doubled = min(2 * top, _AUTO_N_MAX_LIMIT)
-        # One window ends where the weights switch to the log domain, so each n
-        # is judged on the weights poisson_weights(mean, n) itself returns.
-        top = _LOG_DOMAIN_N if top < _LOG_DOMAIN_N < doubled else doubled
+        top = min(2 * top, _AUTO_N_MAX_LIMIT)
         tails = 1.0 - np.cumsum(poisson_weights(mean, top))
         hits = np.flatnonzero(tails[low:] < tail_tol)
         if hits.size:
@@ -270,21 +268,21 @@ def partial_trace(rho: np.ndarray, over: str) -> np.ndarray:
 
 # --- density-matrix validation --------------------------------------------
 
-def require_density(rho: np.ndarray, tol: float = 1e-10, what: str = "density matrix") -> np.ndarray:
+def require_density(rho: np.ndarray, what: str = "density matrix") -> np.ndarray:
     """Validate Hermiticity, unit trace and positive semidefiniteness."""
-    rho = require_hermitian(np.asarray(rho, dtype=np.complex128), tol, what)
+    rho = require_hermitian(np.asarray(rho, dtype=np.complex128), _DENSITY_TOL, what)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"{what} trace {tr!r} deviates from 1 beyond {tol}")
+    if abs(tr - 1.0) > _DENSITY_TOL:
+        raise ValueError(f"{what} trace {tr!r} deviates from 1 beyond {_DENSITY_TOL}")
     evals = np.linalg.eigvalsh(rho)
-    if float(evals.min()) < -tol:
+    if float(evals.min()) < -_DENSITY_TOL:
         raise ValueError(f"{what} has negative eigenvalue {evals.min():.3e}")
     return rho
 
 
-def require_atom_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def require_atom_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (ATOM_DIM, ATOM_DIM):
         raise ValueError(f"atom density matrix must be 2x2, got {rho.shape}")
     require_finite(rho, "atom density matrix")
-    return require_density(rho, tol, "atom density matrix")
+    return require_density(rho, "atom density matrix")

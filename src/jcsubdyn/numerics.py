@@ -27,6 +27,9 @@ __all__ = [
 
 #: Default Hermiticity tolerance, relative to the max-abs norm of the matrix.
 DEFAULT_HERMITIAN_RTOL = 1e-12
+#: Largest entry of |U†U - I| that :func:`require_unitary` accepts; the
+#: eigensystem check of ``subdyn.SpectralPropagator`` uses it too.
+UNITARY_TOL = 1e-10
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -45,8 +48,8 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - m.conj().T)
 
 
-def hermitian_tolerance(m: np.ndarray, rtol: float = DEFAULT_HERMITIAN_RTOL) -> float:
-    return rtol * max(1.0, max_abs(m))
+def hermitian_tolerance(m: np.ndarray) -> float:
+    return DEFAULT_HERMITIAN_RTOL * max(1.0, max_abs(m))
 
 
 def require_hermitian(m: np.ndarray, tol: float | None = None, what: str = "matrix") -> np.ndarray:
@@ -63,14 +66,14 @@ def require_hermitian(m: np.ndarray, tol: float | None = None, what: str = "matr
     return m
 
 
-def eigh_hermitian(m: np.ndarray, tol: float | None = None):
+def eigh_hermitian(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real ascending
-    and eigenvectors as unitary columns.  Rejects input whose Hermiticity
-    defect exceeds ``tol``.
+    and eigenvectors as unitary columns.  Rejects input that
+    :func:`require_hermitian` rejects at its default tolerance.
     """
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     evals, evecs = np.linalg.eigh(m)
     return evals, evecs
 
@@ -81,9 +84,9 @@ def unitarity_defect(u: np.ndarray) -> float:
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def require_unitary(u: np.ndarray, tol: float = 1e-10, what: str = "operator") -> np.ndarray:
+def require_unitary(u: np.ndarray, what: str = "operator") -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     defect = unitarity_defect(u)
-    if defect > tol:
-        raise ValueError(f"{what} is not unitary: defect {defect:.3e} > tol {tol:.3e}")
+    if defect > UNITARY_TOL:
+        raise ValueError(f"{what} is not unitary: defect {defect:.3e} > tol {UNITARY_TOL:.3e}")
     return u

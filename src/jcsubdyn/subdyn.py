@@ -37,7 +37,7 @@ from .hilbert import (
     require_atom_density,
     require_density,
 )
-from .numerics import eigh_hermitian, max_abs, require_hermitian, require_unitary
+from .numerics import UNITARY_TOL, eigh_hermitian, max_abs, require_hermitian, require_unitary
 
 __all__ = [
     "CrossCheckError",
@@ -59,9 +59,9 @@ __all__ = [
 ]
 
 
-#: Default gap allowed in U†U = I, and in the held eigensystem of a
-#: :class:`SpectralPropagator` (relative HV = VE and V†V = I).
-_UNITARY_TOL = 1e-10
+#: Largest gap allowed between the two effective-operator routes, and between
+#: the Heisenberg routes and the evolved states of the oracle.
+ROUTE_TOL = 1e-9
 
 
 class CrossCheckError(RuntimeError):
@@ -70,17 +70,10 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class BipartiteHamiltonian:
-    """Composite Hamiltonian split into its three Hermitian parts."""
+    """Composite Hamiltonian: the embedded photon and atom parts plus the coupling."""
 
     space: FockSpace
-    photon_part: np.ndarray = field(repr=False)  # embedded on the composite space
-    atom_part: np.ndarray = field(repr=False)
-    coupling: np.ndarray = field(repr=False)
     total: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.total.shape[0]
 
 
 def assemble_hamiltonian(h_photon: np.ndarray, h_atom: np.ndarray,
@@ -100,9 +93,8 @@ def assemble_hamiltonian(h_photon: np.ndarray, h_atom: np.ndarray,
     d = ATOM_DIM * space.dim
     if h_coupling.shape != (d, d):
         raise ValueError(f"coupling must be {d}x{d}, got {h_coupling.shape}")
-    ph = embed_photon(h_photon)
-    at = embed_atom(h_atom, space)
-    return BipartiteHamiltonian(space, ph, at, h_coupling, ph + at + h_coupling)
+    return BipartiteHamiltonian(
+        space, embed_photon(h_photon) + embed_atom(h_atom, space) + h_coupling)
 
 
 class SpectralPropagator:
@@ -136,7 +128,8 @@ class SpectralPropagator:
     def require_eigensystem(self, h: np.ndarray) -> None:
         """Check the held decomposition of ``h``; :class:`CrossCheckError` if it is off.
 
-        Checks max|HV - VE| relative to max|H|, and max|V†V - I|, against ``_UNITARY_TOL``.
+        Checks max|HV - VE| relative to max|H|, and max|V†V - I|, against
+        :data:`~jcsubdyn.numerics.UNITARY_TOL`.
         """
         h = np.asarray(h, dtype=np.complex128)
         scale = max_abs(h)
@@ -144,10 +137,10 @@ class SpectralPropagator:
         if scale > 0.0:
             residual /= scale
         defect = max_abs(self.evecs.conj().T @ self.evecs - np.eye(len(self.evals)))
-        if not (residual <= _UNITARY_TOL and defect <= _UNITARY_TOL):
+        if not (residual <= UNITARY_TOL and defect <= UNITARY_TOL):
             raise CrossCheckError(
                 f"eigendecomposition is off: relative |HV - VE| {residual:.3e}, "
-                f"|V†V - I| {defect:.3e} (> {_UNITARY_TOL:.1e})")
+                f"|V†V - I| {defect:.3e} (> {UNITARY_TOL:.1e})")
 
 
 @dataclass(frozen=True)
@@ -160,17 +153,15 @@ class EvolvedState:
 
 def evolve_and_reduce(ham: BipartiteHamiltonian, rho_photon0: np.ndarray,
                       rho_atom0: np.ndarray, t: float,
-                      propagator: SpectralPropagator | None = None,
-                      tol: float = 1e-10) -> EvolvedState:
+                      propagator: SpectralPropagator | None = None) -> EvolvedState:
     """Evolve the product state rho_photon0 ⊗ rho_atom0 and reduce.
 
     Only product initial states are accepted (the Kraus construction this
     module cross-checks requires them); each factor is validated as a
     density matrix.  Pass a precomputed ``propagator`` when sweeping t.
     """
-    rho_photon0 = require_density(np.asarray(rho_photon0, dtype=np.complex128), tol,
-                                  "photon density matrix")
-    rho_atom0 = require_atom_density(rho_atom0, tol)
+    rho_photon0 = require_density(rho_photon0, "photon density matrix")
+    rho_atom0 = require_atom_density(rho_atom0)
     if rho_photon0.shape != (ham.space.dim, ham.space.dim):
         raise ValueError("photon density matrix does not match the Fock space")
     if propagator is None:
@@ -200,14 +191,13 @@ class KrausSet:
     completeness_residual: float
 
 
-def kraus_extract(u: np.ndarray, side: str, coherent: CoherentState | None = None,
-                  unitary_tol: float = _UNITARY_TOL) -> KrausSet:
+def kraus_extract(u: np.ndarray, side: str, coherent: CoherentState | None = None) -> KrausSet:
     """Kraus family from matrix elements of a composite propagator.
 
     Atom side contracts the photon input leg with the coherent amplitudes
     (pure photon start); photon side uses the atomic basis.
     """
-    u = require_unitary(np.asarray(u, dtype=np.complex128), unitary_tol, "propagator")
+    u = require_unitary(u, "propagator")
     if u.shape[0] % ATOM_DIM:
         raise ValueError("composite dimension must be even")
     nph = u.shape[0] // ATOM_DIM
@@ -284,23 +274,22 @@ class _Heisenberg:
     (no Kronecker products), and each route is a few matrix products.
     """
 
-    def __init__(self, u: np.ndarray, unitary_tol: float = _UNITARY_TOL):
-        u = require_unitary(np.asarray(u, dtype=np.complex128), unitary_tol, "propagator")
+    def __init__(self, u: np.ndarray):
+        u = require_unitary(u, "propagator")
         self.dim = u.shape[0]
         self.nph = self.dim // ATOM_DIM
         # cols[k, p, m] = <k|U|m, p>: composite row k, column split into atom p, photon m
         self.cols = np.ascontiguousarray(
             u.reshape(self.dim, self.nph, ATOM_DIM).transpose(0, 2, 1))
 
-    def matrices(self, side: str, ops, weight: np.ndarray, factors,
-                 crosscheck_tol: float = 1e-9) -> list[np.ndarray]:
+    def matrices(self, side: str, ops, weight: np.ndarray, factors) -> list[np.ndarray]:
         """Direct-route effective matrices of ``ops``, each checked against the Kraus route.
 
         ``weight`` is the other side's initial state, already checked
         Hermitian, and ``factors`` its :func:`_weight_factors`.  The Kraus
         members depend on U and the factors only, so they are built once for
         all of ``ops``.  Raises :class:`CrossCheckError` if the routes
-        disagree beyond ``crosscheck_tol`` for any operator.
+        disagree beyond :data:`ROUTE_TOL` for any operator.
         """
         nph, cols = self.nph, self.cols
         roots, vecs = factors
@@ -345,27 +334,24 @@ class _Heisenberg:
             direct = bra @ (op @ ket).reshape(-1, dim)
             via_kraus = members_bra @ (op @ members).reshape(-1, dim)
             defect = max_abs(direct - via_kraus)
-            if defect > crosscheck_tol:
+            if defect > ROUTE_TOL:
                 raise CrossCheckError(
-                    f"effective-operator routes disagree by {defect:.3e} (> {crosscheck_tol:.1e})")
+                    f"effective-operator routes disagree by {defect:.3e} (> {ROUTE_TOL:.1e})")
             out.append(direct)
         return out
 
 
 def effective_operator(u: np.ndarray, op: np.ndarray, side: str,
-                       other_initial: np.ndarray, t: float = 0.0,
-                       crosscheck_tol: float = 1e-9,
-                       unitary_tol: float = _UNITARY_TOL) -> EffectiveOperator:
+                       other_initial: np.ndarray, t: float = 0.0) -> EffectiveOperator:
     """Effective operator of ``op`` on ``side``, weighted by the other side's start.
 
     Computes both the direct contraction Tr_other[U†(O⊗I)U (I⊗rho_other)]
     and the Kraus-member sum, and raises :class:`CrossCheckError` if they
-    disagree beyond ``crosscheck_tol``.
+    disagree beyond :data:`ROUTE_TOL`.
     """
     other_initial = require_hermitian(np.asarray(other_initial, dtype=np.complex128),
                                       what="weighting state")
-    (matrix,) = _Heisenberg(u, unitary_tol).matrices(
-        side, (op,), other_initial, _weight_factors(other_initial), crosscheck_tol)
+    (matrix,) = _Heisenberg(u).matrices(side, (op,), other_initial, _weight_factors(other_initial))
     return EffectiveOperator(side, t, matrix, other_initial)
 
 

@@ -50,7 +50,7 @@ class TestSigmaZSpectrum:
         p = JcmParams(1.0, 0.8, 0.02, 60)
         coh = coherent_state(ROOT10, 0.0, p.space)
         eff = jcm.quasi_sigma_z(gt / p.g, coh, p)
-        spec = sigma_z_spectrum(eff, crosscheck_tol=1e-10)
+        spec = sigma_z_spectrum(eff)
         evals = np.linalg.eigvalsh(eff.matrix)
         assert abs(spec.lower - evals[0]) < 1e-10
         assert abs(spec.upper - evals[1]) < 1e-10

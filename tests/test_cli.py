@@ -205,6 +205,30 @@ class TestInputHardening:
                        "--n-max", "12", "--grid", "0", "30", "200"], tmp_path, capsys,
                       "phase rate x time 3e+301 exceeds")
 
+    @pytest.mark.parametrize("doc, needle", [
+        (None, "cannot read config"),
+        ({"scenarios": []}, "'scenarios' must be a non-empty list"),
+        ([{"omega": 1.0}], "config must be a JSON object"),
+        ({"grid": 5}, "config key 'grid' must be an object"),
+        ({"grid": {"bogus": 1}}, "unknown keys under 'grid'"),
+        ({"alpha_mag": -1.0}, "alpha_mag must be >= 0"),
+        ({"grid": {"steps": 2.5}}, "grid steps must be an integer"),
+        ({"output": {"format": "xml"}}, "output format must be 'csv' or 'json'"),
+    ])
+    def test_bad_config_file_rejected(self, tmp_path, capsys, doc, needle):
+        config = tmp_path / "cfg.json"
+        if doc is not None:
+            if isinstance(doc, dict) and "scenarios" not in doc:
+                doc = {**doc, "output": {"path": str(tmp_path / "x.csv"),
+                                         **doc.get("output", {})}}
+            config.write_text(json.dumps(doc))
+        before = sorted(os.listdir(tmp_path))
+        assert cli.main(["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert needle in err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_json_output_never_holds_nan(self, tmp_path):
         from jcsubdyn import analysis
         from jcsubdyn.jcm import JcmParams
@@ -217,6 +241,17 @@ class TestInputHardening:
         with pytest.raises(ValueError, match="JSON"):
             cli.emit_output(series, "json", str(out), {})
         assert not out.exists()
+
+
+class TestAtomicWrite:
+    def test_chunks_raising_mid_write_leave_no_file(self, tmp_path):
+        def chunks():
+            yield "first line\n"
+            raise RuntimeError("raised mid-write")
+
+        with pytest.raises(RuntimeError, match="raised mid-write"):
+            cli._atomic_write(str(tmp_path / "out.csv"), chunks())
+        assert os.listdir(tmp_path) == []
 
 
 class TestOutputs:
@@ -301,6 +336,19 @@ class TestOracleMode:
         assert "cross-check" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cross_check_error_inside_a_run_exits_3(self, tmp_path, monkeypatch, capsys):
+        from jcsubdyn import analysis, subdyn
+
+        def diverging(*args, **kwargs):
+            raise subdyn.CrossCheckError("routes disagree")
+
+        monkeypatch.setattr(analysis, "observable_series", diverging)
+        out = tmp_path / "fail.json"
+        assert cli.main(["--alpha-mag", "1", "--grid", "0", "1", "3", "--oracle", "on",
+                         "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "cross-check failure: routes disagree\n"
+        assert not out.exists()
+
 
 class TestMultiScenario:
     def test_bundled_style_config_emits_one_file_per_scenario(self, tmp_path):
@@ -326,6 +374,15 @@ class TestTruncationWarning:
         assert "tail mass" in capsys.readouterr().err
         assert out.exists()
 
+    def test_tail_warning_is_one_line_and_output_is_written(self, tmp_path, capsys):
+        out = tmp_path / "warn.csv"
+        assert cli.main(["--n-max", "5", "--alpha-mag", "3", "--grid", "0", "1", "3",
+                         "--output", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: coherent tail mass exceeds 1e-10 at n_max=5;")
+        assert err.count("\n") == 1
+        assert out.exists()
+
     def test_auto_n_max_resolves(self, tmp_path):
         out = tmp_path / "auto.json"
         cfg = base_config(out, n_max="auto", output={"format": "json", "path": str(out)})
@@ -340,6 +397,26 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gt grid" in proc.stdout
+
+
+def test_public_names_are_pinned():
+    """Dropping a public name is a recorded decision: it fails here first."""
+    import jcsubdyn
+
+    assert sorted(jcsubdyn.__all__) == [
+        "BipartiteHamiltonian", "CoherentState", "CollapseRevivalFeatures", "ConservationAudit",
+        "CorrelationFactors", "CrossCheckError", "EffectiveOperator", "FockSpace", "JcmParams",
+        "KrausSet", "PhotonDressing", "QplMetrics", "Scenario", "SigmaZSpectrum",
+        "SpectralPropagator", "SpinDressing", "TimeSeries", "active_lane", "algebra_deviation",
+        "analysis", "assemble_hamiltonian", "auto_n_max", "closed_kraus", "closed_marginal",
+        "closed_propagator", "coherent_state", "collapse_revival_features", "conservation_audit",
+        "constant_of_motion", "correlation_factors", "effective_operator", "evolve_and_reduce",
+        "hamiltonian", "hilbert", "jcm", "kraus_extract", "ladder_ops", "numerics",
+        "observable_series", "partial_trace", "pauli_ops", "photon_dressing", "poisson_weights",
+        "qpl_dominance", "quadrature_ops", "quasi_annihilation", "quasi_number",
+        "quasi_sigma_minus", "quasi_sigma_plus", "quasi_sigma_z", "sigma_z_spectrum", "subdyn",
+        "tensor_product",
+    ]
 
 
 def _figure1_digests():

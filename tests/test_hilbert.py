@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ class TestCoherent:
         ratio = coh.amplitudes[1] / coh.amplitudes[0]
         assert abs(ratio - coh.alpha) < 1e-15
 
+    def test_log_domain_amplitudes_match_the_weights(self):
+        # mean >= 1400: exp(-mean/2) underflows, so the amplitudes come from lgamma
+        phase, space = 0.7, FockSpace(1753)
+        coh = coherent_state(math.sqrt(1500.0), phase, space)
+        p = poisson_weights(1500.0, space.n_max)
+        normal = p >= np.finfo(np.float64).tiny
+        expected = np.sqrt(p) * np.exp(1j * phase * np.arange(space.dim))
+        np.testing.assert_allclose(coh.amplitudes[normal], expected[normal], rtol=1e-10, atol=0)
+        assert np.abs(coh.amplitudes[~normal]).max() <= math.sqrt(np.finfo(np.float64).tiny)
+
+    def test_tail_mass_agrees_across_the_log_domain_switch(self):
+        above = math.sqrt(1400.0)
+        below = math.nextafter(above, 0.0)
+        assert below * below < 1400.0 <= above * above
+        space = FockSpace(1500)
+        assert coherent_state(below, 0.0, space).tail_mass == pytest.approx(
+            coherent_state(above, 0.0, space).tail_mass, rel=1e-9)
+
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             coherent_state(-1.0, 0.0, FockSpace(4))
@@ -146,8 +165,7 @@ class TestAutoTruncation:
         n = auto_n_max(10.0, 1e-10)
         assert scipy.stats.poisson.sf(n, 10.0) < 1e-10
         assert scipy.stats.poisson.sf(n - 1, 10.0) >= 1e-10
-        # the windowed search picks the stepwise answer, also across the
-        # switch to log-domain weights past n = 150
+        # the windowed search picks the stepwise answer
         for tail_tol in (1e-6, 1e-10, 1e-13):
             for mean in np.linspace(0.0, 180.0, 41):
                 assert auto_n_max(mean, tail_tol) == stepwise_auto_n_max(mean, tail_tol), \
@@ -160,6 +178,25 @@ class TestAutoTruncation:
         ns = np.arange(121)
         logs = -30.0 + ns * math.log(30.0) - np.array([math.lgamma(n + 1.0) for n in ns])
         np.testing.assert_allclose(direct, np.exp(logs), rtol=1e-12)
+
+    @pytest.mark.parametrize("mean", [0.5, 40.0, 150.0, 650.0])
+    def test_weights_match_a_decimal_reference(self, mean):
+        n_max = auto_n_max(mean, 1e-13) + 20
+        with localcontext() as ctx:
+            ctx.prec = 60
+            m = Decimal(mean)
+            ref = [(-m).exp()]
+            for n in range(n_max):
+                ref.append(ref[-1] * m / (n + 1))
+        got = poisson_weights(mean, n_max)
+        worst = max(abs(Decimal(float(x)) - r) / r for x, r in zip(got, ref)
+                    if r > Decimal("1e-300"))
+        assert worst < Decimal("1e-14")
+
+    @pytest.mark.parametrize("mean", [40.0, 149.5, 650.0])
+    def test_weights_do_not_depend_on_n_max(self, mean):
+        shorter, longer = poisson_weights(mean, 150), poisson_weights(mean, 151)
+        assert shorter.tobytes() == longer[:151].tobytes()
 
 
 class TestComposite:

@@ -269,6 +269,23 @@ def test_helper_block_error_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_caller_block_error_propagates_when_every_block_raises(monkeypatch):
+    caller = threading.get_ident()
+    both_in_a_block = threading.Barrier(2, timeout=30)
+
+    def block(*args):
+        both_in_a_block.wait()
+        raise ValueError("raised on the caller" if threading.get_ident() == caller
+                         else "raised on the helper")
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(_kernels, "_channel_sums_block", block)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="raised on the caller"):
+        _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+    assert threading.active_count() == before
+
+
 def _overflow():
     np.exp(np.array([1000.0]))
 

@@ -185,12 +185,13 @@ class TestEffectiveOperator:
         expected = np.exp(-1j * free.omega * t) * annihilation(free.space)
         np.testing.assert_allclose(eff.matrix, expected, atol=1e-12)
 
-    def test_crosscheck_guard_trips_on_impossible_tolerance(self, scenario, rng):
+    def test_crosscheck_guard_trips_on_impossible_tolerance(self, scenario, rng, monkeypatch):
         params, _, _, prop = scenario
         u = prop(3.0)
+        monkeypatch.setattr(subdyn, "ROUTE_TOL", 0.0)
         with pytest.raises(subdyn.CrossCheckError):
             subdyn.effective_operator(u, number_op(params.space), "photon",
-                                      random_density(rng, 2), 3.0, crosscheck_tol=0.0)
+                                      random_density(rng, 2), 3.0)
 
 
 def mixed_density(rng, dim, rank):
