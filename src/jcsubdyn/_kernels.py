@@ -97,7 +97,7 @@ def _matvec(m, x):
         return m @ x
     rows, row_bytes = m.shape[0], m.shape[1] * m.itemsize
     step = 4
-    while 2 * step * row_bytes < MATVEC_BYTES:
+    while step < rows and 2 * step * row_bytes < MATVEC_BYTES:  # ends at 0 bytes a row too
         step *= 2
     if rows <= step + 1:
         return m @ x

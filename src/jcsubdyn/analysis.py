@@ -93,6 +93,12 @@ class Scenario:
         if not stop > start:
             raise ValueError(f"grid stop must exceed start, got [{start}, {stop}]")
         p = self.params
+        if not isinstance(self.oracle, bool):  # bool("false") is True
+            raise ValueError(f"oracle must be true or false, got {self.oracle!r}")
+        if self.oracle and not math.isfinite(p.omega * (p.n_max + 1) + abs(p.omega0)
+                                             + p.g * math.sqrt(p.n_max + 1)):
+            raise ValueError("the oracle's truncated Hamiltonian overflows: "
+                             "omega (n_max + 1) + |omega0| + g sqrt(n_max + 1) is not finite")
         rate = max(p.omega, abs(p.omega0), p.sector_rate(p.n_max))
         t_max = max(abs(start), abs(stop)) / (p.g if p.g > 0 else 1.0)
         if not rate * t_max <= MAX_PHASE:

@@ -5,7 +5,8 @@ channels over a gt grid, and writes plot-ready CSV or JSON.  Output is
 deterministic for a fixed config and package version, and written
 atomically (temp file + rename).
 
-Config schema (flags mirror the keys; flags override the file)::
+Config schema (each flag overrides the key its argparse ``dest`` names:
+``--atom-uu`` sets ``atom_init.uu``, ``--format`` sets ``output.format``)::
 
     {
       "omega": 1.0, "omega0": 0.8, "g": 0.02,
@@ -18,8 +19,8 @@ Config schema (flags mirror the keys; flags override the file)::
       "output": {"format": "csv", "path": "series.csv"}
     }
 
-A top-level ``{"scenarios": [...]}`` wrapper runs several scenarios (each in
-the schema above) in one invocation.
+A top-level ``{"scenarios": [...]}`` wrapper, holding nothing else, runs
+several scenarios in one invocation; each is an object in the schema above.
 
 Exit codes: 0 success, 2 invalid config, 3 closed-form/brute-force
 cross-check failure, 4 output I/O failure.
@@ -69,17 +70,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-mag", type=float, help="coherent amplitude magnitude")
     p.add_argument("--alpha-phase", type=float, help="coherent amplitude phase (rad)")
     p.add_argument("--n-max", help="photon truncation: integer or 'auto'")
-    p.add_argument("--atom-uu", type=float, help="initial atom population of |up>")
-    p.add_argument("--atom-ud-re", type=float, help="Re of the initial up-down coherence")
-    p.add_argument("--atom-ud-im", type=float, help="Im of the initial up-down coherence")
-    p.add_argument("--atom-dd", type=float, help="initial atom population of |down>")
+    p.add_argument("--atom-uu", dest="atom_init.uu", type=float,
+                   help="initial atom population of |up>")
+    p.add_argument("--atom-ud-re", dest="atom_init.ud_re", type=float,
+                   help="Re of the initial up-down coherence")
+    p.add_argument("--atom-ud-im", dest="atom_init.ud_im", type=float,
+                   help="Im of the initial up-down coherence")
+    p.add_argument("--atom-dd", dest="atom_init.dd", type=float,
+                   help="initial atom population of |down>")
     p.add_argument("--grid", nargs=3, type=float, metavar=("START", "STOP", "STEPS"),
                    help="gt grid: start stop steps")
-    p.add_argument("--channels", help="comma-separated channel list (default: all)")
+    p.add_argument("--channels", help="comma-separated channel list (default: all)",
+                   type=lambda text: [c.strip() for c in text.split(",") if c.strip()])
     p.add_argument("--oracle", choices=["on", "off"],
                    help="also run the brute-force engine and cross-check")
-    p.add_argument("--format", choices=["csv", "json"], dest="fmt", help="output format")
-    p.add_argument("--output", help="output file path")
+    p.add_argument("--format", choices=["csv", "json"], dest="output.format",
+                   help="output format")
+    p.add_argument("--output", dest="output.path", help="output file path")
     p.add_argument("--tail-tol", type=float, default=hilbert.DEFAULT_TAIL_TOL,
                    help="coherent tail bound for n_max=auto and truncation warnings")
     return p
@@ -112,61 +119,56 @@ def _load_config(path: str) -> list[dict]:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    if isinstance(data, dict) and "scenarios" in data:
-        scenarios = data["scenarios"]
-        if not isinstance(scenarios, list) or not scenarios:
-            raise ConfigError("'scenarios' must be a non-empty list")
-        return [dict(s) for s in scenarios]
-    if isinstance(data, dict):
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    if "scenarios" not in data:
         return [data]
-    raise ConfigError("config must be a JSON object")
+    scenarios = data.pop("scenarios")
+    if data:
+        raise ConfigError(f"a 'scenarios' wrapper holds nothing else, got {sorted(data)}")
+    if not isinstance(scenarios, list) or not scenarios:
+        raise ConfigError("'scenarios' must be a non-empty list")
+    if not all(isinstance(scenario, dict) for scenario in scenarios):
+        raise ConfigError("each scenario must be a JSON object")
+    return scenarios
 
 
-def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    cfg = json.loads(json.dumps(cfg))  # deep copy, JSON types only
-    for key in ("omega", "omega0", "g"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    if args.alpha_mag is not None:
-        cfg["alpha_mag"] = args.alpha_mag
-    if args.alpha_phase is not None:
-        cfg["alpha_phase"] = args.alpha_phase
-    if args.n_max is not None:
-        cfg["n_max"] = args.n_max
-    atom = cfg.setdefault("atom_init", dict(_DEFAULTS["atom_init"]))
-    for flag, key in (("atom_uu", "uu"), ("atom_ud_re", "ud_re"),
-                      ("atom_ud_im", "ud_im"), ("atom_dd", "dd")):
-        val = getattr(args, flag)
-        if val is not None:
-            atom[key] = val
-    if args.grid is not None:
-        cfg["grid"] = {"start": args.grid[0], "stop": args.grid[1], "steps": args.grid[2]}
-    if args.channels is not None:
-        cfg["channels"] = [c.strip() for c in args.channels.split(",") if c.strip()]
-    if args.oracle is not None:
-        cfg["oracle"] = args.oracle == "on"
-    out = cfg.setdefault("output", dict(_DEFAULTS["output"]))
-    if args.fmt is not None:
-        out["format"] = args.fmt
-    if args.output is not None:
-        out["path"] = args.output
+def _apply_flags(cfg: dict, flags: dict) -> dict:
+    """``cfg`` with each flag written under the config key it is named by."""
+    for key, val in flags.items():
+        section, _, name = key.rpartition(".")
+        target = cfg.setdefault(section, {}) if section else cfg
+        if isinstance(target, dict):  # _resolve refuses a section that is not an object
+            target[name] = val
     return cfg
 
 
 def _finite(value, name: str) -> float:
     """``value`` as a finite float, or a :class:`ConfigError` naming ``name``."""
     try:
+        if isinstance(value, bool):  # a JSON true is not the number 1
+            raise TypeError(value)
         x = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return x
 
 
+def _integer(value, name: str) -> int:
+    x = _finite(value, name)
+    if not x.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _resolve(cfg: dict, tail_tol: float):
-    """Validate a raw config dict into (Scenario, output settings, canonical echo)."""
+    """Validate a raw config dict into (Scenario, echo).
+
+    The echo is the config merged over the defaults, each value converted in
+    place: it records what ran.
+    """
     if not (math.isfinite(tail_tol) and tail_tol > 0):
         raise ConfigError(f"tail tolerance must be finite and > 0, got {tail_tol!r}")
     merged = json.loads(json.dumps(_DEFAULTS))
@@ -183,70 +185,46 @@ def _resolve(cfg: dict, tail_tol: float):
         else:
             merged[key] = val
 
-    omega = _finite(merged["omega"], "omega")
-    omega0 = _finite(merged["omega0"], "omega0")
-    g = _finite(merged["g"], "g")
-    mag = _finite(merged["alpha_mag"], "alpha_mag")
-    phase = _finite(merged["alpha_phase"], "alpha_phase")
+    for key in ("omega", "omega0", "g", "alpha_mag", "alpha_phase"):
+        merged[key] = _finite(merged[key], key)
+    mag = merged["alpha_mag"]
     if mag < 0:
         raise ConfigError("alpha_mag must be >= 0")
     if not math.isfinite(mag * mag):
         raise ConfigError(f"alpha_mag squared (the mean photon number) must be finite, got {mag!r}")
-
-    n_max_cfg = merged["n_max"]
-    if n_max_cfg == "auto":
+    if merged["n_max"] == "auto":
         try:
-            n_max = max(hilbert.auto_n_max(mag * mag, tail_tol), 8)
+            merged["n_max"] = max(hilbert.auto_n_max(mag * mag, tail_tol), 8)
         except ValueError as exc:
             raise ConfigError(f"n_max 'auto': {exc}") from exc
     else:
-        try:
-            n_max = int(n_max_cfg)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"n_max must be an integer or 'auto', got {n_max_cfg!r}") from exc
+        merged["n_max"] = _integer(merged["n_max"], "n_max")
+    atom, grid, out = merged["atom_init"], merged["grid"], merged["output"]
+    for key in atom:
+        atom[key] = _finite(atom[key], f"atom_init.{key}")
+    for key in ("start", "stop"):
+        grid[key] = _finite(grid[key], f"grid {key}")
+    grid["steps"] = _integer(grid["steps"], "grid steps")
+    channels = merged["channels"]
+    if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)):
+        raise ConfigError(f"channels must be a list of channel names, got {channels!r}")
+    if out["format"] not in ("csv", "json"):
+        raise ConfigError(f"output format must be 'csv' or 'json', got {out['format']!r}")
+    if not isinstance(out["path"], str):
+        raise ConfigError(f"output path must be a string, got {out['path']!r}")
 
-    atom = {key: _finite(val, f"atom_init.{key}") for key, val in merged["atom_init"].items()}
     rho = np.array([[atom["uu"], atom["ud_re"] + 1j * atom["ud_im"]],
                     [atom["ud_re"] - 1j * atom["ud_im"], atom["dd"]]],
                    dtype=np.complex128)
-
-    grid_cfg = merged["grid"]
-    steps = _finite(grid_cfg["steps"], "grid steps")
-    if not steps.is_integer():
-        raise ConfigError(f"grid steps must be an integer, got {grid_cfg['steps']!r}")
-    grid = (_finite(grid_cfg["start"], "grid start"), _finite(grid_cfg["stop"], "grid stop"),
-            int(steps))
-
-    if not isinstance(merged["oracle"], bool):
-        raise ConfigError(f"oracle must be true or false, got {merged['oracle']!r}")
-    if merged["oracle"] and not math.isfinite(omega * (n_max + 1) + abs(omega0)
-                                              + g * math.sqrt(n_max + 1)):
-        raise ConfigError("the oracle's truncated Hamiltonian overflows: "
-                          "omega (n_max + 1) + |omega0| + g sqrt(n_max + 1) is not finite")
-
-    fmt = merged["output"]["format"]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
-
     try:
-        params = JcmParams(omega, omega0, g, n_max)
         scenario = analysis.Scenario(
-            params=params, atom_init=rho, magnitude=mag, phase=phase, grid=grid,
-            channels=tuple(merged["channels"]), oracle=merged["oracle"])
+            params=JcmParams(merged["omega"], merged["omega0"], merged["g"], merged["n_max"]),
+            atom_init=rho, magnitude=mag, phase=merged["alpha_phase"],
+            grid=(grid["start"], grid["stop"], grid["steps"]),
+            channels=tuple(channels), oracle=merged["oracle"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    echo = {
-        "omega": omega, "omega0": omega0, "g": g,
-        "alpha_mag": mag, "alpha_phase": phase, "n_max": n_max,
-        "atom_init": {"uu": float(rho[0, 0].real), "ud_re": float(rho[0, 1].real),
-                      "ud_im": float(rho[0, 1].imag), "dd": float(rho[1, 1].real)},
-        "grid": {"start": grid[0], "stop": grid[1], "steps": grid[2]},
-        "channels": list(scenario.channels),
-        "oracle": scenario.oracle,
-        "output": {"format": fmt, "path": merged["output"]["path"]},
-    }
-    return scenario, (fmt, merged["output"]["path"]), echo
+    return scenario, merged
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -303,8 +281,8 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
 
 
 def run_scenario(cfg: dict, tail_tol: float = hilbert.DEFAULT_TAIL_TOL) -> int:
-    """Run one resolved scenario dict; returns a process exit code."""
-    scenario, (fmt, path), echo = _resolve(cfg, tail_tol)
+    """Run one scenario dict; returns a process exit code."""
+    scenario, echo = _resolve(cfg, tail_tol)
     with np.errstate(all="ignore"):  # a non-finite result is refused below, in one line
         series = analysis.observable_series(scenario, tail_tol)
     for name, values in {"gt": series.gt, **series.channels}.items():
@@ -321,22 +299,24 @@ def run_scenario(cfg: dict, tail_tol: float = hilbert.DEFAULT_TAIL_TOL) -> int:
             print(f"cross-check failure: closed form and brute force diverge by "
                   f"{worst:.3e} (> {CROSSCHECK_TOL:g})", file=sys.stderr)
             return 3
-    emit_output(series, fmt, path, echo)
+    emit_output(series, echo["output"]["format"], echo["output"]["path"], echo)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    config, tail_tol = flags.pop("config"), flags.pop("tail_tol")
+    flags = {key: val for key, val in flags.items() if val is not None}
+    if "grid" in flags:
+        flags["grid"] = dict(zip(("start", "stop", "steps"), flags["grid"]))
+    if "oracle" in flags:
+        flags["oracle"] = flags["oracle"] == "on"
     try:
-        if args.config:
-            configs = _load_config(args.config)
-        else:
-            configs = [{}]
-        if len(configs) > 1 and args.output is not None:
+        configs = [_apply_flags(cfg, flags) for cfg in (_load_config(config) if config else [{}])]
+        if len(configs) > 1 and "output.path" in flags:
             raise ConfigError("--output cannot override a multi-scenario config")
-        configs = [_apply_flags(cfg, args) for cfg in configs]
         for cfg in configs:
-            code = run_scenario(cfg, args.tail_tol)
+            code = run_scenario(cfg, tail_tol)
             if code != 0:
                 return code
         return 0

@@ -36,7 +36,6 @@ __all__ = [
     "coherent_state",
     "poisson_weights",
     "auto_n_max",
-    "composite_index",
     "embed_photon",
     "embed_atom",
     "tensor_product",
@@ -220,11 +219,6 @@ def coherent_state(magnitude: float, phase: float, space: FockSpace) -> Coherent
 
 
 # --- composite space -------------------------------------------------------
-
-def composite_index(n: int, spin: int) -> int:
-    """Photon-major composite index of |n, s>; spin 0 = up, 1 = down."""
-    return 2 * n + spin
-
 
 def embed_photon(op: np.ndarray) -> np.ndarray:
     """photon_op ⊗ I_atom on the composite space."""

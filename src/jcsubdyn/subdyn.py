@@ -55,7 +55,6 @@ __all__ = [
     "algebra_deviation",
     "composite_validated_indices",
     "validated_defect",
-    "photon_validated_dim",
 ]
 
 
@@ -390,8 +389,3 @@ def validated_defect(a: np.ndarray, b: np.ndarray, n_max: int) -> float:
     idx = composite_validated_indices(n_max)
     diff = (a - b)[np.ix_(idx, idx)]
     return max_abs(diff)
-
-
-def photon_validated_dim(n_max: int) -> int:
-    """Photon-space dimension unaffected by the truncated top sector."""
-    return n_max

@@ -264,7 +264,7 @@ def test_criterion_6_collapse_revival_structure(fig_series):
 def test_criterion_7_non_preservation_witnesses():
     """[a_eff, a_eff†] leaves I and N_eff leaves a_eff† a_eff once coupled, not at t=0."""
     p = fig_params(10.0)
-    d = subdyn.photon_validated_dim(p.n_max) - 1  # product entries need one more level
+    d = p.n_max - 1  # product entries need one more level
     eye = np.eye(p.n_max + 1)
 
     def witnesses(t):

@@ -44,6 +44,30 @@ def load_csv(path):
     return comments, header, rows
 
 
+#: (config file, extra flags, stderr needle) that exit 2 before anything is written
+BAD_CONFIGS = [
+    (None, [], "cannot read config"),
+    ({"scenarios": []}, [], "'scenarios' must be a non-empty list"),
+    ([{"omega": 1.0}], [], "config must be a JSON object"),
+    ({"grid": 5}, [], "config key 'grid' must be an object"),
+    ({"grid": {"bogus": 1}}, [], "unknown keys under 'grid'"),
+    ({"alpha_mag": -1.0}, [], "alpha_mag must be >= 0"),
+    ({"grid": {"steps": 2.5}}, [], "grid steps must be an integer"),
+    ({"output": {"format": "xml"}}, [], "output format must be 'csv' or 'json'"),
+    ({"atom_init": 5}, ["--atom-uu", "1"], "config key 'atom_init' must be an object"),
+    ({"output": "x.csv"}, ["--format", "json"], "config key 'output' must be an object"),
+    ({"scenarios": [5]}, [], "each scenario must be a JSON object"),
+    ({"scenarios": [{"g": 0.02}], "omega": 2}, [],
+     "a 'scenarios' wrapper holds nothing else, got ['omega']"),
+    ({"output": {"path": 5}}, [], "output path must be a string, got 5"),
+    ({"channels": 5}, [], "channels must be a list of channel names, got 5"),
+    ({"g": True}, [], "g must be a number, got True"),
+    ({"n_max": 12.7}, [], "n_max must be an integer, got 12.7"),
+    ({"channels": [["quasi_n"]]}, [], "channels must be a list of channel names"),
+    ({"g": 10 ** 400}, [], "g must be a number, got 1000"),
+]
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         out = tmp_path / "ok.csv"
@@ -161,6 +185,19 @@ class TestInputHardening:
                 Scenario(params=params, atom_init=atom, magnitude=1.0, **kwargs)
             assert "\n" not in str(err.value)
 
+    def test_library_scenario_owns_the_oracle_checks(self):
+        from jcsubdyn.analysis import Scenario
+        from jcsubdyn.jcm import JcmParams
+
+        atom = np.diag([1.0, 0.0]).astype(complex)
+        for params, oracle, needle in (
+                (JcmParams(1.0, 1.0, 0.02, 10), "false", "oracle must be true or false"),
+                (JcmParams(1e308, 1e308, 0.02, 10), True, "truncated Hamiltonian overflows")):
+            with pytest.raises(ValueError, match=needle) as err:
+                Scenario(params=params, atom_init=atom, magnitude=1.0, grid=(0.0, 1.0, 3),
+                         oracle=oracle)
+            assert "\n" not in str(err.value)
+
     def test_library_params_must_be_finite(self):
         from jcsubdyn.jcm import JcmParams
 
@@ -205,25 +242,20 @@ class TestInputHardening:
                        "--n-max", "12", "--grid", "0", "30", "200"], tmp_path, capsys,
                       "phase rate x time 3e+301 exceeds")
 
-    @pytest.mark.parametrize("doc, needle", [
-        (None, "cannot read config"),
-        ({"scenarios": []}, "'scenarios' must be a non-empty list"),
-        ([{"omega": 1.0}], "config must be a JSON object"),
-        ({"grid": 5}, "config key 'grid' must be an object"),
-        ({"grid": {"bogus": 1}}, "unknown keys under 'grid'"),
-        ({"alpha_mag": -1.0}, "alpha_mag must be >= 0"),
-        ({"grid": {"steps": 2.5}}, "grid steps must be an integer"),
-        ({"output": {"format": "xml"}}, "output format must be 'csv' or 'json'"),
-    ])
-    def test_bad_config_file_rejected(self, tmp_path, capsys, doc, needle):
+    # ids as before the flags column joined, so each row keeps its name
+    @pytest.mark.parametrize("doc, argv, needle", BAD_CONFIGS, ids=[
+        f"{'None' if doc is None else f'doc{i}'}-{needle}"
+        for i, (doc, _, needle) in enumerate(BAD_CONFIGS)])
+    def test_bad_config_file_rejected(self, tmp_path, capsys, doc, argv, needle):
         config = tmp_path / "cfg.json"
         if doc is not None:
-            if isinstance(doc, dict) and "scenarios" not in doc:
+            if (isinstance(doc, dict) and "scenarios" not in doc
+                    and isinstance(doc.get("output", {}), dict)):
                 doc = {**doc, "output": {"path": str(tmp_path / "x.csv"),
                                          **doc.get("output", {})}}
             config.write_text(json.dumps(doc))
         before = sorted(os.listdir(tmp_path))
-        assert cli.main(["--config", str(config)]) == 2
+        assert cli.main(["--config", str(config)] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert needle in err

@@ -134,6 +134,18 @@ def test_table_memory_bounded_on_long_grid():
     assert peak < 40e6, f"peak traced allocation {peak / 1e6:.1f} MB"
 
 
+def test_smallest_truncation_ends(tmp_path):
+    """At n_max 1 a dressing table has no columns; the run ends (in a child, so a hang fails)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "x.csv"
+    proc = subprocess.run([sys.executable, "-m", "jcsubdyn", "--n-max", "1", "--grid", "0", "1", "3",
+                           "--output", str(out)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+
+
 # --- pinned bytes of the mixed-start channel sums ---------------------------
 
 # (half_det, g, n_max, mean, rho_uu, rho_ud, steps); each starts the atom in a

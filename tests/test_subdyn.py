@@ -282,7 +282,7 @@ class TestAlgebraDeviation:
         eye = np.eye(2 * params.space.dim, dtype=complex)
         ea, ead, eaad = self._pair(params, eye, EXCITED, 0.0)
         assert subdyn.algebra_deviation(ea, ead, eaad,
-                                        subdyn.photon_validated_dim(params.n_max) - 1) < 1e-12
+                                        params.n_max - 1) < 1e-12
 
     def test_free_evolution_preserves_products(self, scenario):
         params, _, _, _ = scenario
