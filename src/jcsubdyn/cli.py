@@ -29,6 +29,7 @@ cross-check failure, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,6 +39,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, analysis, hilbert
+from ._csvtext import format_rows
 from .jcm import JcmParams
 from .subdyn import CrossCheckError
 
@@ -58,6 +60,7 @@ class OutputError(OSError):
     pass
 
 
+@functools.lru_cache(maxsize=None)  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="jcsubdyn",
@@ -212,6 +215,8 @@ def _resolve(cfg: dict, tail_tol: float):
         raise ConfigError(f"output format must be 'csv' or 'json', got {out['format']!r}")
     if not isinstance(out["path"], str):
         raise ConfigError(f"output path must be a string, got {out['path']!r}")
+    if not out["path"]:
+        raise ConfigError("output path must not be empty")
 
     rho = np.array([[atom["uu"], atom["ud_re"] + 1j * atom["ud_im"]],
                     [atom["ud_re"] - 1j * atom["ud_im"], atom["dd"]]],
@@ -246,12 +251,11 @@ def _atomic_write(path: str, chunks) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_chunks(head: str, row: str, table: np.ndarray):
-    """``head``, then the table formatted ``row`` by row, ``CSV_CHUNK_ROWS`` rows per string."""
+def _csv_chunks(head: str, table: np.ndarray):
+    """``head``, then the table as ``'%.17g'`` CSV text, ``CSV_CHUNK_ROWS`` rows per string."""
     yield head
     for start in range(0, len(table), CSV_CHUNK_ROWS):
-        chunk = table[start:start + CSV_CHUNK_ROWS].tolist()
-        yield "".join(row % tuple(values) for values in chunk)
+        yield format_rows(table[start:start + CSV_CHUNK_ROWS])
 
 
 def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) -> None:
@@ -265,9 +269,12 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
             "# metadata: " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
             "gt," + ",".join(names),
         ]
-        row = ",".join(["%.17g"] * (1 + len(names))) + "\n"
         table = np.column_stack([series.gt] + [series.channels[n] for n in names])
-        _atomic_write(path, _csv_chunks("".join(line + "\n" for line in head), row, table))
+        finite = np.isfinite(table).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"CSV output needs finite values; "
+                             f"{(['gt'] + names)[np.argmin(finite)]} is not finite")
+        _atomic_write(path, _csv_chunks("".join(line + "\n" for line in head), table))
     elif fmt == "json":
         doc = {
             "scenario": echo,

@@ -24,3 +24,16 @@ def random_density(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def percent_17g(block):
+    """The CSV text of a 2-D float block, one ``'%.17g' % v`` per value."""
+    return "".join(",".join("%.17g" % v for v in r) + "\n" for r in block.tolist())
+
+
+def text_mismatch(got, want):
+    """None for equal texts, else their first differing line (short, unlike a full diff)."""
+    for i, (a, b) in enumerate(zip(got.split("\n"), want.split("\n"))):
+        if a != b:
+            return f"line {i}: {a!r} != {b!r}"
+    return None if got == want else f"{len(got)} != {len(want)} characters"

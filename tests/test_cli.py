@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from jcsubdyn import cli
+from conftest import percent_17g, text_mismatch
+from jcsubdyn import _csvtext, cli
 
 ROOT10 = math.sqrt(10.0)
 
@@ -65,6 +66,9 @@ BAD_CONFIGS = [
     ({"n_max": 12.7}, [], "n_max must be an integer, got 12.7"),
     ({"channels": [["quasi_n"]]}, [], "channels must be a list of channel names"),
     ({"g": 10 ** 400}, [], "g must be a number, got 1000"),
+    # an empty path would put the temporary file in the parent directory
+    ({"output": {"path": ""}}, [], "output path must not be empty"),
+    ({}, ["--output", ""], "output path must not be empty"),
 ]
 
 
@@ -274,6 +278,21 @@ class TestInputHardening:
             cli.emit_output(series, "json", str(out), {})
         assert not out.exists()
 
+    def test_csv_output_never_holds_nan(self, tmp_path):
+        from jcsubdyn import analysis
+        from jcsubdyn.jcm import JcmParams
+
+        scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
+                                     atom_init=np.diag([1.0, 0.0]).astype(complex))
+        series = analysis.TimeSeries(scenario, np.array([0.0, 1.0]),
+                                     {"quasi_n": np.array([0.0, 1.0]),
+                                      "sigma_z_mean": np.array([math.inf, math.nan])}, {})
+        out = tmp_path / "nan.csv"
+        with pytest.raises(ValueError, match="sigma_z_mean is not finite") as err:
+            cli.emit_output(series, "csv", str(out), {})
+        assert "\n" not in str(err.value)
+        assert not out.exists()
+
 
 class TestAtomicWrite:
     def test_chunks_raising_mid_write_leave_no_file(self, tmp_path):
@@ -337,6 +356,58 @@ class TestOutputs:
         doc = json.loads(out.read_text())
         assert doc["scenario"]["omega0"] == 0.9
         assert sorted(doc["channels"]) == ["quasi_n", "sigma_z_mean"]
+
+
+def _edge_doubles():
+    """Doubles at the edges of the '%.17g' layout and of its rounding."""
+    tiny = 2.2250738585072014e-308
+    values = [0.0, 5e-324, tiny, np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0),
+              1.7976931348623157e308,
+              # exact ties at the 18th digit whose 17th digit is odd: they round up
+              0.00010061264038085938, 1.0251998901367188e-05, 1.3113021850585938e-06]
+    for k in range(-20, 21):  # crosses the fixed/scientific switches at 1e-4/1e-5 and 1e16/1e17
+        values += [10.0 ** k, np.nextafter(10.0 ** k, 0.0), np.nextafter(10.0 ** k, math.inf)]
+    values += [2.0 ** k for k in range(-1074, 1024)]
+    return np.array(values + [-v for v in values])
+
+
+class TestCsvText:
+    """The CSV number text is '%.17g' to the byte, whatever path gives a value its digits."""
+
+    def test_edge_values(self):
+        values = _edge_doubles()
+        for cols in (1, 7):
+            block = values[:len(values) // cols * cols].reshape(-1, cols)
+            assert text_mismatch(_csvtext.format_rows(block), percent_17g(block)) is None
+
+    def test_scaled_random_values(self):
+        rng = np.random.default_rng(17)
+        block = rng.standard_normal((3000, 7)) * 10.0 ** rng.integers(-30, 30, (3000, 7))
+        assert text_mismatch(_csvtext.format_rows(block), percent_17g(block)) is None
+
+    def test_exact_path_alone_gives_the_same_bytes(self, monkeypatch):
+        monkeypatch.setattr(_csvtext, "_WINDOW", np.full_like(_csvtext._WINDOW, np.inf))
+        block = _edge_doubles().reshape(-1, 10)
+        assert text_mismatch(_csvtext.format_rows(block), percent_17g(block)) is None
+
+    def test_bytes_do_not_depend_on_chunk_rows(self, tmp_path, monkeypatch):
+        from jcsubdyn import analysis
+        from jcsubdyn.jcm import JcmParams
+
+        values = _edge_doubles()[:3 * 600].reshape(3, 600)
+        scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
+                                     atom_init=np.diag([1.0, 0.0]).astype(complex))
+        series = analysis.TimeSeries(scenario, values[0],
+                                     {"quasi_n": values[1], "sigma_z_mean": values[2]}, {})
+        texts = []
+        for rows in (1, 7, 256):
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+            cli.emit_output(series, "csv", str(tmp_path / "out.csv"), {})
+            texts.append((tmp_path / "out.csv").read_text())
+        want = percent_17g(values.T)
+        for text in texts:
+            assert text_mismatch(text[-len(want):], want) is None
+        assert len({text[:-len(want)] for text in texts}) == 1
 
 
 class TestOracleMode:
@@ -503,11 +574,13 @@ class TestBundledFigureConfig:
         channels = {name: rows[:, i] for i, name in enumerate(header) if name != "gt"}
         return analysis.TimeSeries(scenario, rows[:, 0], channels, {})
 
-    def _describe_drift(self, series):
+    def _describe_drift(self, series, path):
         """First row and worst gap per channel against the per-t operators.
 
         A libm or BLAS difference between platforms moves every channel by
-        roundoff only; a regression moves some channel by much more.
+        roundoff only; a regression moves some channel by much more.  A
+        formatter fault moves no number: it shows as a line whose text is not
+        '%.17g' of the values parsed from it.
         """
         reference = _per_t_channels(series.scenario)
         gaps = {name: np.abs(series.channels[name] - reference[name])
@@ -516,7 +589,18 @@ class TestBundledFigureConfig:
         first = (f"first row beyond 1e-9: gt = {series.gt[beyond[0]]:.17g} (row {beyond[0]})"
                  if beyond.size else "no row beyond 1e-9 (a roundoff-level difference)")
         return first + "; max |csv - per-t| " + ", ".join(
-            f"{name}={gap.max():.2e}" for name, gap in gaps.items())
+            f"{name}={gap.max():.2e}" for name, gap in gaps.items()) + "; " + self._text_drift(path)
+
+    @staticmethod
+    def _text_drift(path):
+        """The first data line that '%.17g' of its own parsed values does not give back."""
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")][1:]
+        for i, line in enumerate(lines):
+            again = ",".join("%.17g" % float(v) for v in line.split(","))
+            if again != line:
+                return f"data line {i + 1} is not '%.17g' text: {line!r} != {again!r}"
+        return "every data line is '%.17g' text of its values"
 
     def test_figure1_with_oracle_cross_checks_every_point(self, tmp_path, monkeypatch):
         repo_config = os.path.join(os.path.dirname(__file__), "..", "configs", "figure1.json")
@@ -554,7 +638,7 @@ class TestBundledFigureConfig:
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             if digest != expected[name]:
                 pytest.fail(f"{name}: sha256 {digest} != {expected[name]}; "
-                            + self._describe_drift(series))
+                            + self._describe_drift(series, tmp_path / name))
             feats = analysis.collapse_revival_features(series)
             assert feats.collapse_detected
             assert -1.0 < feats.plateau < 1.0

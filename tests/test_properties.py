@@ -1,4 +1,5 @@
-"""Invariants on random parameters, checked against the brute-force oracle.
+"""Invariants on random parameters, checked against the brute-force oracle,
+and the CSV number text on random doubles, checked against ``'%.17g'``.
 
 Examples are drawn by Hypothesis under a derandomised profile, so every run
 draws the same ones.  Without Hypothesis installed the module is skipped.
@@ -14,7 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import percent_17g, text_mismatch
 from jcsubdyn import _kernels, cli, jcm, subdyn
+from jcsubdyn._csvtext import format_rows
 from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
 from jcsubdyn.hilbert import auto_n_max
 
@@ -73,3 +76,19 @@ def test_closed_evolve_matches_spectral_evolve(scenario):
             - subdyn.SpectralPropagator(jcm.hamiltonian(p).total).evolve(eye, ts))
     keep = subdyn.composite_validated_indices(p.n_max)
     assert np.max(np.abs(diff[:, keep][:, :, keep])) <= 1e-9
+
+
+@st.composite
+def raw_double_blocks(draw):
+    """A block of finite doubles from raw bit fields: mixed signs, every exponent field."""
+    cols = draw(st.integers(1, 6))
+    fields = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 2046),
+                                     st.integers(0, 2 ** 52 - 1)), min_size=cols, max_size=120))
+    bits = [(sign << 63) | (exponent << 52) | mantissa for sign, exponent, mantissa in fields]
+    bits = bits[:len(bits) // cols * cols]
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, cols)
+
+
+@given(raw_double_blocks())
+def test_csv_text_is_percent_17g_on_raw_bit_patterns(block):
+    assert text_mismatch(format_rows(block), percent_17g(block)) is None
