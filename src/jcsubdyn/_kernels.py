@@ -25,7 +25,8 @@ operator, :func:`dressing_n` for the quasi-number operator,
 the sectors as a half-open range ``lo, hi`` and read sector ``n`` and its
 neighbours ``n - 1``, ``n + 1`` as basic column slices, so they work on the
 time-blocked tables of :func:`channel_sums` and on the one-row tables of
-the per-t functions in :mod:`jcsubdyn.jcm` alike.
+the per-t functions in :mod:`jcsubdyn.jcm` alike.  Terms whose density weight
+is an exact zero are skipped where the signed zeros they add move no byte.
 """
 
 from __future__ import annotations
@@ -175,10 +176,18 @@ def dressing_a(v, w, lo, hi, rho_uu, rho_dd):
     Reads sectors n - 1..n + 1; pristine value 1.
     """
     vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
-    vp, wp = v[..., lo + 2:hi + 2], w[..., lo + 2:hi + 2]
-    a_up = np.conj(vn) * vp + wn * wp * _sector_factor("sqrt((n+2)/(n+1))", lo, hi)
-    a_dn = (np.conj(vn) * v[..., lo:hi]
-            + wn * w[..., lo:hi] * _sector_factor("sqrt(n/(n+1))", lo, hi))
+    # a branch weighted by an exact 0 would add signed zeros to the other one,
+    # which has no -0 part at the weight 1 a density then gives it (its complex
+    # add makes every -0 imaginary part +0, its real part is a cosine product)
+    a_up = a_dn = None
+    if rho_uu != 0.0 or rho_dd == 0.0:
+        vp, wp = v[..., lo + 2:hi + 2], w[..., lo + 2:hi + 2]
+        a_up = np.conj(vn) * vp + wn * wp * _sector_factor("sqrt((n+2)/(n+1))", lo, hi)
+    if rho_dd != 0.0 or rho_uu == 0.0:
+        a_dn = (np.conj(vn) * v[..., lo:hi]
+                + wn * w[..., lo:hi] * _sector_factor("sqrt(n/(n+1))", lo, hi))
+    if a_dn is None or a_up is None:
+        return rho_uu * a_up if a_dn is None else rho_dd * a_dn
     return rho_uu * a_up + rho_dd * a_dn
 
 
@@ -313,6 +322,12 @@ def channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rh
     return sums
 
 
+def _has_negative_zero(x) -> bool:
+    """Whether a real or imaginary part of the complex array ``x`` is -0."""
+    parts = x.view(np.float64)
+    return bool(np.signbit(parts[parts == 0.0]).any())
+
+
 def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
                         rho_uu, rho_dd, rho_ud):
     """Every channel sum over one (len(ts), n_max + 2) table pair."""
@@ -327,10 +342,14 @@ def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
     s1z, s2z, s3z = inversion_series(v, w, 0, n_max + 1, p, p1, alpha)
 
     root = _sector_factor("1/sqrt(n+1)", 0, n_max)
-    quasi_n = (_matvec(wn ** 2, p * rho_uu) - _matvec(wm ** 2, p * rho_dd)
-               + float(ns @ p))
-    cross = -1j * rho_ud * np.conj(alpha) * ((p[:-1] * root) * (wn[:, :-1] * vn[:, :-1])).sum(axis=1)
-    quasi_n = quasi_n + 2.0 * cross.real
+    quasi_n = _matvec(wn ** 2, p * rho_uu)
+    if rho_dd != 0.0:  # at rho_dd == 0 this subtracts +0, which changes no value
+        quasi_n = quasi_n - _matvec(wm ** 2, p * rho_dd)
+    quasi_n = quasi_n + float(ns @ p)
+    # at rho_ud == 0 the cross term is a signed zero, and a sum ending in n p(n) >= +0 is never -0
+    if rho_ud != 0:
+        cross = -1j * rho_ud * np.conj(alpha) * ((p[:-1] * root) * (wn[:, :-1] * vn[:, :-1])).sum(axis=1)
+        quasi_n = quasi_n + 2.0 * cross.real
 
     # each coefficient table goes as soon as its three sums are taken
     a_coef = dressing_a(v, w, 0, n_max, rho_uu, rho_dd)
@@ -338,6 +357,11 @@ def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
     qpl_dev = _matvec(np.abs(a_coef - 1.0), p[:-1])
     qpl_abs_a = _matvec(np.abs(a_coef), p[:-1])
     del a_coef
+    # at rho_ud == 0, C_n and D_n are signed zeros too (their moduli sum to +0): added
+    # to alpha * a_sum they move only its -0 parts, found at alpha = 0 or on underflow
+    if rho_ud == 0 and not _has_negative_zero(alpha * a_sum):
+        quasi_a, qpl_cd = np.exp(-1j * omega * ts) * (alpha * a_sum), np.zeros(len(ts))
+        return s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a
     d_coef = dressing_d(v, w, 0, n_max + 1, rho_ud)
     d_sum = _matvec(d_coef, p)
     qpl_cd = _matvec(np.abs(d_coef), p)

@@ -110,6 +110,9 @@ class Scenario:
                              f"got {self.magnitude!r}")
         if not math.isfinite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase!r}")
+        if not self.channels or len(set(self.channels)) < len(self.channels):
+            raise ValueError(f"channels must name one channel or more, each once, "
+                             f"got {list(self.channels)}")
         unknown = set(self.channels) - set(DEFAULT_CHANNELS)
         if unknown:
             raise ValueError(f"unknown channels: {sorted(unknown)}")

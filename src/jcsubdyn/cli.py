@@ -217,6 +217,8 @@ def _resolve(cfg: dict, tail_tol: float):
         raise ConfigError(f"output path must be a string, got {out['path']!r}")
     if not out["path"]:
         raise ConfigError("output path must not be empty")
+    if os.path.isdir(out["path"]):
+        raise ConfigError(f"output path {out['path']!r} is a directory")
 
     rho = np.array([[atom["uu"], atom["ud_re"] + 1j * atom["ud_im"]],
                     [atom["ud_re"] - 1j * atom["ud_im"], atom["dd"]]],

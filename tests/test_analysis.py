@@ -97,6 +97,11 @@ class TestObservableSeries:
         with pytest.raises(ValueError, match="unknown channels"):
             fig_scenario(10.0, channels=("no_such_channel",))
 
+    @pytest.mark.parametrize("channels", [(), ("quasi_n", "sigma_z_mean", "quasi_n")])
+    def test_empty_or_repeated_channels_rejected(self, channels):
+        with pytest.raises(ValueError, match="channels must name one channel or more, each once"):
+            fig_scenario(10.0, channels=channels)
+
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
             fig_scenario(10.0, grid=(0.0, 0.0, 2))

@@ -69,6 +69,11 @@ BAD_CONFIGS = [
     # an empty path would put the temporary file in the parent directory
     ({"output": {"path": ""}}, [], "output path must not be empty"),
     ({}, ["--output", ""], "output path must not be empty"),
+    ({"channels": []}, [], "channels must name one channel or more, each once, got []"),
+    ({}, ["--channels", ","], "channels must name one channel or more, each once, got []"),
+    ({}, ["--channels", "quasi_n,quasi_n"], "each once, got ['quasi_n', 'quasi_n']"),
+    # a directory would be found only by os.replace, after all the work
+    ({}, ["--output", "."], "output path '.' is a directory"),
 ]
 
 
@@ -496,8 +501,11 @@ class TestTruncationWarning:
 
 
 def test_console_entry_point_runs():
+    # the child finds the package where this process does, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "jcsubdyn", "--help"],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gt grid" in proc.stdout
 

@@ -150,11 +150,11 @@ def test_smallest_truncation_ends(tmp_path):
 
 # (half_det, g, n_max, mean, rho_uu, rho_ud, steps); each starts the atom in a
 # superposition, so C_n and D_n reach quasi_a and qpl_cd (figure1 starts in
-# |up> and its SHA-256 gate cannot see them).  At n_max 86 the last of four
-# 128-row blocks holds 33 rows, a 32-row complex product chunk and a lone row;
-# at n_max 36 the last 256-row block holds 129, a lone row after both the real
-# (128-row) and the complex (64-row) chunks; at n_max 20 the last 512-row
-# block holds a single grid point.
+# |up>, where the block skips them: these pins alone carry them).  At n_max 86
+# the last of four 128-row blocks holds 33 rows, a 32-row complex product
+# chunk and a lone row; at n_max 36 the last 256-row block holds 129, a lone
+# row after both the real (128-row) and the complex (64-row) chunks; at
+# n_max 20 the last 512-row block holds a single grid point.
 PINNED = [
     (-0.19, 0.02, 86, 40.0, 0.9, 0.24 + 0.13j, 417),
     (0.15, 0.02, 36, 10.0, 0.6, -0.3 + 0.35j, 641),
@@ -209,6 +209,39 @@ def test_mixed_start_sums_keep_their_bytes(index):
         pytest.fail(f"sha256 {digest} != {PINNED_SHA256[index]}; max |blocked - one table| "
                     + ", ".join(f"{name}={np.max(np.abs(a - b)):.2e}"
                                 for name, a, b in zip(names, got, whole)))
+
+
+# --- pinned bytes of the zero-weight starts ----------------------------------
+
+# (half_det, g, n_max, mean, rho_uu, rho_ud, steps) of starts with a density
+# weight of exactly 0, whose terms the block skips: |up>, |down>,
+# diag(0.6, 0.4), and |up> at alpha = 0, where alpha * a_sum has -0 parts that
+# the skipped terms would turn into +0.  Each grid ends in a lone row.
+ZERO_WEIGHT = [
+    (0.075, 0.02, 36, 10.0, 1.0, 0j, 1537),
+    (-0.11, 0.03, 20, 6.0, 0.0, 0j, 1025),
+    (0.2, 0.02, 86, 40.0, 0.6, 0j, 385),
+    (-0.0, 0.05, 12, 0.0, 1.0, 0j, 1025),
+]
+#: As PINNED_SHA256, written by the implementation that evaluated every term.
+ZERO_WEIGHT_SHA256 = [
+    "e57472ce755af33165ac917357a31c63668cc0255e85071463be3a347b4e1fc6",
+    "0f78a824ed18cb4528e1fb7ad735f8dad7f3972954402b8c05e0fcb8dc97fe93",
+    "a9b0aa373ac83e7f18bdc54789cdff17a77f0acbc390e10353da335c43cbb5ca",
+    "63e940ae0edb11ba560c53a81234ac692ddcf23fe78b1d3a8d337893e3c21b60",
+]
+
+
+def test_zero_weight_scenarios_span_blocks_and_end_in_a_lone_row():
+    for case in ZERO_WEIGHT:
+        rows = _kernels.block_rows(case[2] + 2)
+        assert case[-1] > 2 * rows and case[-1] % rows == 1
+
+
+@pytest.mark.parametrize("index", range(len(ZERO_WEIGHT)))
+def test_zero_weight_sums_keep_their_bytes(index):
+    assert _digest(_kernels.channel_sums(*_pinned_args(*ZERO_WEIGHT[index]))) \
+        == ZERO_WEIGHT_SHA256[index]
 
 
 def test_sums_do_not_depend_on_the_blas_thread_count():

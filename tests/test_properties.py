@@ -1,10 +1,13 @@
-"""Invariants on random parameters, checked against the brute-force oracle,
-and the CSV number text on random doubles, checked against ``'%.17g'``.
+"""Invariants on random parameters, checked against the brute-force oracle and
+the pristine limits; the channel sums of zero-weight starts, checked bitwise
+against every term evaluated; and the CSV number text on random doubles,
+checked against ``'%.17g'``.
 
 Examples are drawn by Hypothesis under a derandomised profile, so every run
 draws the same ones.  Without Hypothesis installed the module is skipped.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,14 +15,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import percent_17g, text_mismatch
 from jcsubdyn import _kernels, cli, jcm, subdyn
 from jcsubdyn._csvtext import format_rows
 from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
-from jcsubdyn.hilbert import auto_n_max
+from jcsubdyn.hilbert import auto_n_max, poisson_weights
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=50,
                           database=None)
@@ -28,7 +31,11 @@ settings.load_profile("tier1")
 
 @st.composite
 def atom_densities(draw):
-    """A 2x2 density from a Bloch vector of length <= 1, in the (up, down) basis."""
+    """A 2x2 density in the (up, down) basis: from a Bloch vector of length <= 1,
+    or exactly |up>, |down> or diagonal, whose zero weights the kernels skip."""
+    if draw(st.booleans()):
+        uu = draw(st.one_of(st.sampled_from([1.0, 0.0]), st.floats(0.0, 1.0)))
+        return np.diag([uu, 1.0 - uu]).astype(np.complex128)
     length = draw(st.floats(0.0, 1.0))
     theta = draw(st.floats(0.0, math.pi))
     phi = draw(st.floats(0.0, 2.0 * math.pi))
@@ -38,7 +45,7 @@ def atom_densities(draw):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, oracle=True):
     magnitude = draw(st.floats(0.0, 2.0))
     # the grid is in g*t units, so a g near 0 stretches it to times where no
     # double-precision phase is meaningful; a free run (g = 0) uses plain times
@@ -48,7 +55,7 @@ def scenarios(draw):
     n_max = max(auto_n_max(magnitude ** 2), 8)
     params = jcm.JcmParams(1.0, draw(st.floats(0.5, 1.5)), g, n_max)
     return Scenario(params=params, atom_init=draw(atom_densities()), magnitude=magnitude,
-                    phase=draw(st.floats(-math.pi, math.pi)), grid=(0.0, 30.0, 16), oracle=True)
+                    phase=draw(st.floats(-math.pi, math.pi)), grid=(0.0, 30.0, 16), oracle=oracle)
 
 
 @given(scenarios())
@@ -76,6 +83,107 @@ def test_closed_evolve_matches_spectral_evolve(scenario):
             - subdyn.SpectralPropagator(jcm.hamiltonian(p).total).evolve(eye, ts))
     keep = subdyn.composite_validated_indices(p.n_max)
     assert np.max(np.abs(diff[:, keep][:, :, keep])) <= 1e-9
+
+
+#: Absolute tolerance of the pristine limits; they hold to about 1e-15.
+PRISTINE_TOL = 1e-12
+
+
+def _pristine_values(scenario):
+    """quasi_a, quasi_n and sigma_z_mean at t = 0: alpha sum_{n<n_max} p(n),
+    sum n p(n) and rho_uu - rho_dd."""
+    coh = scenario.coherent()
+    p = coh.weights()
+    rho = scenario.atom_init
+    return coh.alpha * p[:-1].sum(), np.arange(len(p)) @ p, (rho[0, 0] - rho[1, 1]).real
+
+
+@given(scenarios(oracle=False))
+def test_pristine_limit_at_t0(scenario):
+    channels = observable_series(scenario).channels
+    quasi_a, quasi_n, inversion = _pristine_values(scenario)
+    assert abs(channels["quasi_a_re"][0] + 1j * channels["quasi_a_im"][0] - quasi_a) <= PRISTINE_TOL
+    assert abs(channels["quasi_n"][0] - quasi_n) <= PRISTINE_TOL
+    assert abs(channels["sigma_z_mean"][0] - inversion) <= PRISTINE_TOL
+    assert abs(channels["qpl_ratio"][0]) <= PRISTINE_TOL
+    assert abs(channels["qpl_deviation"][0]) <= PRISTINE_TOL
+
+
+@given(scenarios(oracle=False))
+def test_pristine_values_hold_at_every_t_without_coupling(scenario):
+    p = scenario.params
+    free = dataclasses.replace(scenario, params=jcm.JcmParams(p.omega, p.omega0, 0.0, p.n_max))
+    channels = observable_series(free).channels
+    quasi_a, quasi_n, inversion = _pristine_values(free)
+    assert np.max(np.abs(channels["quasi_n"] - quasi_n)) <= PRISTINE_TOL
+    assert np.max(np.abs(channels["sigma_z_mean"] - inversion)) <= PRISTINE_TOL
+    assert np.max(np.abs(channels["abs_quasi_a"] - abs(quasi_a))) <= PRISTINE_TOL
+
+
+def _every_term_block(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rho_ud):
+    """One block of channel sums that evaluates every term, whatever its weight."""
+    v, w = _kernels.corr_tables(ts, half_det, g, n_max + 2)
+    ns = np.arange(n_max + 1, dtype=np.float64)
+    vn, wn, wm = v[:, 1:], w[:, 1:], w[:, :-1]
+    s1z, s2z, s3z = _kernels.inversion_series(v, w, 0, n_max + 1, p, p1, alpha)
+    root = _kernels._sector_factor("1/sqrt(n+1)", 0, n_max)
+    quasi_n = (_kernels._matvec(wn ** 2, p * rho_uu) - _kernels._matvec(wm ** 2, p * rho_dd)
+               + float(ns @ p))
+    cross = -1j * rho_ud * np.conj(alpha) * ((p[:-1] * root) * (wn[:, :-1] * vn[:, :-1])).sum(axis=1)
+    quasi_n = quasi_n + 2.0 * cross.real
+    va, wa = v[:, 1:n_max + 1], w[:, 1:n_max + 1]
+    a_up = np.conj(va) * v[:, 2:] + wa * w[:, 2:] * _kernels._sector_factor(
+        "sqrt((n+2)/(n+1))", 0, n_max)
+    a_dn = np.conj(va) * v[:, :n_max] + wa * w[:, :n_max] * _kernels._sector_factor(
+        "sqrt(n/(n+1))", 0, n_max)
+    a_coef = rho_uu * a_up + rho_dd * a_dn
+    a_sum = _kernels._matvec(a_coef, p[:-1])
+    qpl_dev = _kernels._matvec(np.abs(a_coef - 1.0), p[:-1])
+    qpl_abs_a = _kernels._matvec(np.abs(a_coef), p[:-1])
+    d_coef = _kernels.dressing_d(v, w, 0, n_max + 1, rho_ud)
+    d_sum = _kernels._matvec(d_coef, p)
+    qpl_cd = _kernels._matvec(np.abs(d_coef), p)
+    c_coef = _kernels.dressing_c(v, w, 1, n_max, np.conj(rho_ud))
+    c_sum = _kernels._matvec(c_coef, p[:-2] / _kernels._sector_factor("sqrt(n(n+1))", 1, n_max))
+    qpl_cd = qpl_cd + _kernels._matvec(np.abs(c_coef), p[1:-1])
+    quasi_a = np.exp(-1j * omega * ts) * (alpha * a_sum + alpha * alpha * c_sum + d_sum)
+    return s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a
+
+
+def _sums_args(n_max, magnitude, phase, g, gt_stop, steps, half_det, rho_uu, rho_dd, rho_ud):
+    """channel_sums arguments for a start alpha = magnitude e^{i phase} on a gt grid."""
+    p = poisson_weights(magnitude ** 2, n_max)
+    p1 = poisson_weights(magnitude ** 2, n_max + 1)[1:]
+    ts = np.linspace(0.0, gt_stop / (g or 1.0), steps)
+    alpha = magnitude * complex(math.cos(phase), math.sin(phase))
+    return ts, n_max, half_det, g, 1.0, p, p1, alpha, rho_uu, rho_dd, rho_ud
+
+
+@st.composite
+def zero_weight_sums_args(draw):
+    """channel_sums arguments whose density weights are often an exact (signed)
+    zero.  The weights need not form a density: the comparison is of bytes.
+    A subnormal |alpha| makes alpha * a_sum underflow to signed zeros."""
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+    return _sums_args(
+        draw(st.integers(1, 40)), draw(st.one_of(st.sampled_from([0.0, 1e-323]), st.floats(0.0, 3.0))),
+        draw(st.floats(-math.pi, math.pi)), draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.1))),
+        draw(st.floats(1.0, 100.0)), draw(st.integers(2, 700)),
+        draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.3, 0.3))), draw(weight), draw(weight),
+        draw(st.one_of(st.sampled_from([0j, complex(-0.0, -0.0)]), st.complex_numbers(max_magnitude=0.5))))
+
+
+# alpha * a_sum has -0 parts: the vacuum |up> start (alpha = 0) and, from
+# |down>, a subnormal alpha whose products with a_sum underflow
+@example(_sums_args(12, 0.0, 0.0, 0.05, 100.0, 600, -0.0, 1.0, 0.0, 0j))
+@example(_sums_args(12, 1e-323, math.pi, 0.05, 100.0, 600, 0.1, 0.0, 1.0, 0j))
+@given(zero_weight_sums_args())
+def test_skipped_terms_leave_the_sums_bitwise(args):
+    ts, n_max = args[0], args[1]
+    rows = _kernels.block_rows(n_max + 2)
+    blocks = [_every_term_block(ts[k:k + rows], *args[1:]) for k in range(0, len(ts), rows)]
+    for got, want in zip(_kernels.channel_sums(*args), zip(*blocks)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 @st.composite
