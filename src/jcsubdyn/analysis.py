@@ -105,6 +105,8 @@ class Scenario:
             raise ValueError(f"phase rate x time {rate * t_max:.3g} exceeds {MAX_PHASE:.3g}: "
                              f"no phase keeps 1e-6 there (raise g or shorten the grid)")
         hilbert.require_atom_density(self.atom_init)
+        if self.magnitude < 0:
+            raise ValueError(f"magnitude must be >= 0, got {self.magnitude!r}")
         if not math.isfinite(self.magnitude * self.magnitude):
             raise ValueError(f"magnitude squared (the mean photon number) must be finite, "
                              f"got {self.magnitude!r}")
@@ -253,9 +255,9 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
     atom_factors = subdyn._weight_factors(rho_atom)
     photon_factors = subdyn._weight_factors(rho_photon)
     for k in _HEISENBERG_POINTS:
-        core = subdyn._Heisenberg(prop(ts[k]))
-        eff_a, eff_n = core.matrices("photon", photon_ops, rho_atom, atom_factors)
-        (eff_z,) = core.matrices("atom", (sigma_z,), rho_photon, photon_factors)
+        u = subdyn.require_unitary(prop(ts[k]), "propagator")
+        eff_a, eff_n = subdyn._effective_matrices(u, "photon", photon_ops, rho_atom, atom_factors)
+        (eff_z,) = subdyn._effective_matrices(u, "atom", (sigma_z,), rho_photon, photon_factors)
         routes = (abs(amps.conj() @ eff_a @ amps), (amps.conj() @ eff_n @ amps).real,
                   np.trace(eff_z @ rho_atom).real, *np.linalg.eigvalsh(eff_z))
         gap = float(np.max(np.abs(np.array(routes) - values[:, k])))
@@ -371,7 +373,8 @@ def conservation_audit(series: TimeSeries, atom_init: np.ndarray,
     atom_init = hilbert.require_atom_density(atom_init)
     if max_abs(atom_init - series.scenario.atom_init) > 1e-12:
         raise ValueError("atom_init does not match the series scenario")
-    if abs(mean_photons - series.scenario.magnitude ** 2) > 1e-12:
+    mean = series.scenario.magnitude ** 2
+    if abs(mean_photons - mean) > 1e-12 * max(1.0, mean):  # sqrt(m) ** 2 may round off m
         raise ValueError("mean photon number does not match the series scenario")
     for name in ("quasi_n", "sigma_z_mean"):
         if name not in series.channels:

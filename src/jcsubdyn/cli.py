@@ -238,10 +238,17 @@ def _atomic_write(path: str, chunks) -> None:
     """Write the strings of ``chunks`` to ``path`` through a temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
+        try:  # the mode open(path, "w") gives: the file's own, or 0o666 less the umask
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcsubdyn-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -14,6 +14,7 @@ Conventions fixed here and used by every other module:
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -64,6 +65,8 @@ class FockSpace:
     n_max: int
 
     def __post_init__(self):
+        if not isinstance(self.n_max, numbers.Integral) or isinstance(self.n_max, bool):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 

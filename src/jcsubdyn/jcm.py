@@ -105,8 +105,7 @@ class JcmParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.g < 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        FockSpace(self.n_max)  # an integer >= 1
         # lam_n² of the top sector, as _kernels.corr_tables sums it
         kappa = self.g * math.sqrt(self.n_max + 1.0)
         lam2 = self.half_detuning * self.half_detuning + kappa * kappa

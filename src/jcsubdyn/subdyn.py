@@ -212,12 +212,9 @@ def kraus_extract(u: np.ndarray, side: str, coherent: CoherentState | None = Non
         return KrausSet("atom", members, float(residual))
     if side == "photon":
         members = np.transpose(u4, (1, 3, 0, 2))  # [s, s', n, m]
-        eye = np.eye(nph)
-        residual = 0.0
-        for s2 in (UP, DOWN):
-            gram = sum(members[s, s2].conj().T @ members[s, s2] for s in (UP, DOWN))
-            residual = max(residual, max_abs(gram - eye))
-        return KrausSet("photon", members, float(residual))
+        stacked = np.transpose(u4, (3, 1, 0, 2)).reshape(ATOM_DIM, -1, nph)  # [s', (s, n), m]
+        gram = stacked.conj().transpose(0, 2, 1) @ stacked  # sum_s V†V for each s'
+        return KrausSet("photon", members, float(max_abs(gram - np.eye(nph))))
     raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
 
 
@@ -265,79 +262,52 @@ def _weight_factors(weight: np.ndarray):
     return np.sqrt(np.clip(evals[keep], 0.0, None)), evecs[:, keep]
 
 
-class _Heisenberg:
-    """One propagator U, checked unitary once, dressing operators on either side.
+def _effective_matrices(u: np.ndarray, side: str, ops, weight: np.ndarray,
+                        factors) -> list[np.ndarray]:
+    """Direct-route effective matrices of ``ops`` on ``side``, each checked against the Kraus route.
 
-    :meth:`matrices` runs both effective-operator routes for a sequence of
-    operators on one side.  Operators act on one tensor leg of a reshaped U
-    (no Kronecker products), and each route is a few matrix products.
+    ``u`` is checked unitary and ``weight``, the other side's start, Hermitian;
+    ``factors`` are its :func:`_weight_factors`.  The atom side is the photon
+    side of U with its tensor legs swapped.  Raises :class:`CrossCheckError` if
+    the routes disagree beyond :data:`ROUTE_TOL` for any operator.
     """
+    nph = u.shape[0] // ATOM_DIM
+    if side == "photon":
+        dim, other = nph, ATOM_DIM
+    elif side == "atom":
+        dim, other = ATOM_DIM, nph
+        u = u.reshape(nph, ATOM_DIM, nph, ATOM_DIM).transpose(1, 0, 3, 2).reshape(u.shape)
+    else:
+        raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
+    if weight.shape != (other, other):
+        raise ValueError(f"{side}-side weighting state must be {other}x{other}, got {weight.shape}")
+    roots, vecs = factors
 
-    def __init__(self, u: np.ndarray):
-        u = require_unitary(u, "propagator")
-        self.dim = u.shape[0]
-        self.nph = self.dim // ATOM_DIM
-        # cols[k, p, m] = <k|U|m, p>: composite row k, column split into atom p, photon m
-        self.cols = np.ascontiguousarray(
-            u.reshape(self.dim, self.nph, ATOM_DIM).transpose(0, 2, 1))
+    def legs(x):  # [(n, s), (m, c)] -> [n, (s, c, m)], n the acted-on leg
+        return x.reshape(dim, other, dim, -1).transpose(0, 1, 3, 2).reshape(dim, -1)
 
-    def matrices(self, side: str, ops, weight: np.ndarray, factors) -> list[np.ndarray]:
-        """Direct-route effective matrices of ``ops``, each checked against the Kraus route.
+    # the rows of ``(op @ x).reshape(-1, dim)`` are the summed indices (n, s, c)
+    # direct, Tr_other[U†(O⊗I)U(I⊗rho)]: ket = U(I⊗rho), bra = conj U
+    ket = legs(u.reshape(-1, other) @ weight)
+    bra = legs(u)  # always a copy (other, dim >= 2), so conjugated in place
+    bra = np.conjugate(bra, out=bra).reshape(-1, dim).T
+    # Kraus: K_{s,j}[n, m] = q_j <n, s|U|m, chi_j>, stored as members[n, (s, j, m)]
+    members = legs(u.reshape(-1, other) @ (vecs * roots))
+    members_bra = members.reshape(-1, dim).conj().T
 
-        ``weight`` is the other side's initial state, already checked
-        Hermitian, and ``factors`` its :func:`_weight_factors`.  The Kraus
-        members depend on U and the factors only, so they are built once for
-        all of ``ops``.  Raises :class:`CrossCheckError` if the routes
-        disagree beyond :data:`ROUTE_TOL` for any operator.
-        """
-        nph, cols = self.nph, self.cols
-        roots, vecs = factors
-        chi = vecs * roots  # column j is q_j chi_j
-        # ``op @ ket`` and ``op @ members`` apply the operator to its own part of
-        # the composite row index; flattened to (-1, dim), the rows are then the
-        # summed indices, contracted by ``bra`` and ``members_bra``.
-        if side == "photon":
-            if weight.shape != (ATOM_DIM, ATOM_DIM):
-                raise ValueError("weighting state must be a 2x2 atom matrix")
-            dim, what = nph, "photon-side operator has wrong shape"
-            # direct, Tr_atom[U†(O⊗I)U(I⊗rho)]: ket[n, (a, s, m)] = (U(I⊗rho))[(n, a), (m, s)],
-            # bra[n', (k, s)] = conj <k|U|n', s>
-            ket = (weight.T @ cols).reshape(nph, -1)
-            bra = cols.reshape(-1, nph).conj().T
-            # Kraus: K_{s,j}[n, m] = q_j <n, s|U|m, chi_j>, stored as members[n, (s, j, m)]
-            members = (chi.T @ cols).reshape(nph, -1)
-        elif side == "atom":
-            if weight.shape != (nph, nph):
-                raise ValueError("weighting state must live on the photon space")
-            dim, what = ATOM_DIM, "atom-side operator must be 2x2"
-            # direct, Tr_photon[U†(I⊗O)U(rho⊗I)]: ket[N, a, (n, p)] = (U(rho⊗I))[(N, a), (n, p)],
-            # bra[s, (k, n)] = conj <k|U|n, s>
-            ket = np.ascontiguousarray((cols.reshape(-1, nph) @ weight)
-                                       .reshape(self.dim, ATOM_DIM, nph).transpose(0, 2, 1))
-            ket = ket.reshape(nph, ATOM_DIM, -1)
-            bra = cols.transpose(1, 0, 2).reshape(ATOM_DIM, -1).conj()
-            # Kraus: K_{N,j}[s, p] = q_j <N, s|U|chi_j, p>, stored as members[(N, j), s, p]
-            members = np.ascontiguousarray((cols.reshape(-1, nph) @ chi)
-                                           .reshape(nph, ATOM_DIM, ATOM_DIM, -1)
-                                           .transpose(0, 3, 1, 2))
-            members = members.reshape(-1, ATOM_DIM, ATOM_DIM)
-        else:
-            raise ValueError(f"side must be 'atom' or 'photon', got {side!r}")
-        members_bra = members.reshape(-1, dim).conj().T
-
-        out = []
-        for op in ops:
-            op = np.asarray(op, dtype=np.complex128)
-            if op.shape != (dim, dim):
-                raise ValueError(what)
-            direct = bra @ (op @ ket).reshape(-1, dim)
-            via_kraus = members_bra @ (op @ members).reshape(-1, dim)
-            defect = max_abs(direct - via_kraus)
-            if defect > ROUTE_TOL:
-                raise CrossCheckError(
-                    f"effective-operator routes disagree by {defect:.3e} (> {ROUTE_TOL:.1e})")
-            out.append(direct)
-        return out
+    out = []
+    for op in ops:
+        op = np.asarray(op, dtype=np.complex128)
+        if op.shape != (dim, dim):
+            raise ValueError(f"{side}-side operator must be {dim}x{dim}, got {op.shape}")
+        direct = bra @ (op @ ket).reshape(-1, dim)
+        via_kraus = members_bra @ (op @ members).reshape(-1, dim)
+        defect = max_abs(direct - via_kraus)
+        if defect > ROUTE_TOL:
+            raise CrossCheckError(f"{side}-side effective-operator routes disagree by "
+                                  f"{defect:.3e} (> {ROUTE_TOL:.1e})")
+        out.append(direct)
+    return out
 
 
 def effective_operator(u: np.ndarray, op: np.ndarray, side: str,
@@ -350,7 +320,8 @@ def effective_operator(u: np.ndarray, op: np.ndarray, side: str,
     """
     other_initial = require_hermitian(np.asarray(other_initial, dtype=np.complex128),
                                       what="weighting state")
-    (matrix,) = _Heisenberg(u).matrices(side, (op,), other_initial, _weight_factors(other_initial))
+    u = require_unitary(u, "propagator")
+    (matrix,) = _effective_matrices(u, side, (op,), other_initial, _weight_factors(other_initial))
     return EffectiveOperator(side, t, matrix, other_initial)
 
 

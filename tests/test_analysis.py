@@ -12,7 +12,8 @@ from jcsubdyn.analysis import (
     qpl_dominance,
     sigma_z_spectrum,
 )
-from jcsubdyn.hilbert import annihilation, coherent_state, number_op, pauli_ops, poisson_weights
+from jcsubdyn.hilbert import (annihilation, auto_n_max, coherent_state, number_op, pauli_ops,
+                              poisson_weights)
 from jcsubdyn.jcm import JcmParams
 
 EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -117,6 +118,13 @@ class TestObservableSeries:
 
     def test_numpy_integer_grid_steps_accepted(self):
         assert len(fig_scenario(10.0, grid=(0.0, 1.0, np.int64(3))).gt_values()) == 3
+
+    @pytest.mark.parametrize("magnitude", [-1.0, -1e-300])
+    def test_negative_magnitude_rejected(self, magnitude):
+        # coherent_state would refuse it later, in observable_series
+        with pytest.raises(ValueError, match="magnitude must be >= 0"):
+            Scenario(params=JcmParams(1.0, 0.8, 0.02, 10), atom_init=EXCITED,
+                     magnitude=magnitude)
 
     def test_phase_budget_is_one_ulp_at_crosscheck_tol(self):
         from jcsubdyn import cli
@@ -257,6 +265,16 @@ class TestConservationAudit:
             conservation_audit(fig10_series, np.array([[0.5, 0], [0, 0.5]], dtype=complex), 10.0)
         with pytest.raises(ValueError, match="mean photon"):
             conservation_audit(fig10_series, EXCITED, 9.0)
+
+    def test_scenario_mean_accepted_at_any_size(self):
+        # sqrt(mean) ** 2 misses this mean by 1.8e-12, beyond an absolute 1e-12
+        mean = 13302.925802883608
+        sc = Scenario(params=JcmParams(1.0, 0.8, 0.02, auto_n_max(mean)), atom_init=EXCITED,
+                      magnitude=math.sqrt(mean), grid=(0.0, 1.0, 2))
+        series = observable_series(sc)
+        assert conservation_audit(series, EXCITED, mean).max_residual < 1e-8 * mean
+        with pytest.raises(ValueError, match="mean photon"):
+            conservation_audit(series, EXCITED, mean * (1.0 + 1e-9))
 
     def test_missing_channel_rejected(self):
         series = observable_series(fig_scenario(10.0, grid=(0.0, 5.0, 20),

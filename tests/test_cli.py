@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -308,6 +309,26 @@ class TestAtomicWrite:
         with pytest.raises(RuntimeError, match="raised mid-write"):
             cli._atomic_write(str(tmp_path / "out.csv"), chunks())
         assert os.listdir(tmp_path) == []
+
+    @pytest.fixture
+    def umask_027(self):
+        old = os.umask(0o027)
+        yield
+        os.umask(old)
+
+    def test_new_file_gets_open_mode(self, tmp_path, umask_027):
+        # the mode open(path, "w") gives: 0o666 less the umask, not mkstemp's 0o600
+        out = tmp_path / "x.csv"
+        assert cli.main(["--grid", "0", "1", "3", "--output", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, umask_027):
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        out.chmod(0o604)
+        cli._atomic_write(str(out), ["new\n"])
+        assert out.read_text() == "new\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
 
 
 class TestOutputs:

@@ -389,6 +389,15 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             JcmParams(1.0, 1.0, 0.1, 0)
 
+    @pytest.mark.parametrize("n_max", [12.0, 12.7, True, "12", None])
+    def test_rejects_non_integer_n_max(self, n_max):
+        # numpy would raise a TypeError later, in observable_series; True would run as 1
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            JcmParams(1.0, 0.8, 0.02, n_max)
+
+    def test_numpy_integer_n_max_accepted(self):
+        assert JcmParams(1.0, 0.8, 0.02, np.int64(12)).space.dim == 13
+
     def test_rejects_overflowing_sector_rate(self):
         # each input and the detuning are finite; half_det² or g²(n_max + 1) is not
         for args in ((1e308, -7e307, 0.02, 5), (1.0, 1.0, 1e154, 10)):

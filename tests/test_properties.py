@@ -1,7 +1,7 @@
-"""Invariants on random parameters, checked against the brute-force oracle and
-the pristine limits; the channel sums of zero-weight starts, checked bitwise
-against every term evaluated; and the CSV number text on random doubles,
-checked against ``'%.17g'``.
+"""Invariants on random parameters, checked against the brute-force oracle, the
+effective operators and the pristine limits; the channel sums of zero-weight
+starts, checked bitwise against every term evaluated; and the CSV number text
+on random doubles, checked against ``'%.17g'``.
 
 Examples are drawn by Hypothesis under a derandomised profile, so every run
 draws the same ones.  Without Hypothesis installed the module is skipped.
@@ -22,7 +22,7 @@ from conftest import percent_17g, text_mismatch
 from jcsubdyn import _kernels, cli, jcm, subdyn
 from jcsubdyn._csvtext import format_rows
 from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
-from jcsubdyn.hilbert import auto_n_max, poisson_weights
+from jcsubdyn.hilbert import annihilation, auto_n_max, number_op, pauli_ops, poisson_weights
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=50,
                           database=None)
@@ -118,6 +118,39 @@ def test_pristine_values_hold_at_every_t_without_coupling(scenario):
     assert np.max(np.abs(channels["quasi_n"] - quasi_n)) <= PRISTINE_TOL
     assert np.max(np.abs(channels["sigma_z_mean"] - inversion)) <= PRISTINE_TOL
     assert np.max(np.abs(channels["abs_quasi_a"] - abs(quasi_a))) <= PRISTINE_TOL
+
+
+@st.composite
+def scenario_times(draw):
+    """A scenario without the oracle, one of its grid times and U at that time."""
+    scenario = draw(scenarios(oracle=False))
+    t = float(scenario.times()[draw(st.integers(0, scenario.grid[2] - 1))])
+    return scenario, t, subdyn.SpectralPropagator(jcm.hamiltonian(scenario.params).total)(t)
+
+
+@given(scenario_times())
+def test_dressed_photon_operators_match_effective_operator(point):
+    """On the validated window [:n_max, :n_max], within the route tolerance."""
+    scenario, t, u = point
+    p, rho = scenario.params, scenario.atom_init
+    for dressed, op in ((jcm.quasi_annihilation, annihilation), (jcm.quasi_number, number_op)):
+        eff = subdyn.effective_operator(u, op(p.space), "photon", rho, t).matrix
+        gap = dressed(t, rho, p).matrix - eff
+        assert np.max(np.abs(gap[:p.n_max, :p.n_max])) <= subdyn.ROUTE_TOL, dressed.__name__
+
+
+@given(scenario_times())
+def test_dressed_inversion_matches_effective_operator(point):
+    scenario, t, u = point
+    coh = scenario.coherent()
+    eff = subdyn.effective_operator(u, pauli_ops().z, "atom", coh.density(), t).matrix
+    assert np.max(np.abs(jcm.quasi_sigma_z(t, coh, scenario.params).matrix - eff)) <= 1e-8
+
+
+@given(scenarios(oracle=False))
+def test_conservation_residual_relative_to_lhs(scenario):
+    md = observable_series(scenario).metadata
+    assert md["conservation_residual_max"] / max(1.0, abs(md["conservation_lhs"])) <= 1e-8
 
 
 def _every_term_block(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rho_ud):

@@ -242,10 +242,10 @@ class TestMixedWeightings:
     def test_multi_operator_core_matches_single_calls(self, system, rng):
         space, u, t = system
         weights = {"photon": mixed_density(rng, 2, 2), "atom": mixed_density(rng, space.dim, 3)}
-        core = subdyn._Heisenberg(u)
         for side, ops in self._ops(space, rng).items():
             weight = weights[side]
-            together = core.matrices(side, ops, weight, subdyn._weight_factors(weight))
+            together = subdyn._effective_matrices(u, side, ops, weight,
+                                                  subdyn._weight_factors(weight))
             assert len(together) == len(ops)
             for op, matrix in zip(ops, together):
                 single = subdyn.effective_operator(u, op, side, weight, t).matrix
