@@ -68,6 +68,11 @@ ORACLE_CHANNELS = (
 #: (eps x phase) is 1e-6, the closed-vs-oracle tolerance ``cli.CROSSCHECK_TOL``,
 #: so no channel keeps even that many digits beyond it.  About 4.5e9.
 MAX_PHASE = 1e-6 / np.finfo(np.float64).eps
+#: Largest dense work d³ + 2 d² steps (d = 2 (n_max + 1)) an oracle scenario may
+#: ask for: one eigendecomposition, then two kets evolved over every step.
+#: n_max 327 at 2000 points is 2.0e9 and takes about 1.6 s; at n_max 3000 one
+#: dense matrix alone holds 576 MB.
+MAX_ORACLE_WORK = 4e9
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,11 @@ class Scenario:
                                              + p.g * math.sqrt(p.n_max + 1)):
             raise ValueError("the oracle's truncated Hamiltonian overflows: "
                              "omega (n_max + 1) + |omega0| + g sqrt(n_max + 1) is not finite")
+        d = hilbert.ATOM_DIM * (int(p.n_max) + 1)
+        work = d ** 3 + 2 * d * d * int(steps)
+        if self.oracle and not work <= MAX_ORACLE_WORK:
+            raise ValueError(f"the oracle's dense work d³ + 2 d² steps is {work:.3g} at d = {d}, "
+                             f"over {MAX_ORACLE_WORK:.3g} (lower n_max or the grid steps)")
         rate = max(p.omega, abs(p.omega0), p.sector_rate(p.n_max))
         t_max = max(abs(start), abs(stop)) / (p.g if p.g > 0 else 1.0)
         if not rate * t_max <= MAX_PHASE:
@@ -230,11 +240,14 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
     rho_atom = require_hermitian(scenario.atom_init, what="weighting state")
     photon_ops = (hilbert.annihilation(p.space), hilbert.number_op(p.space))
     sigma_z = hilbert.pauli_ops().z
-    layout = (np.diag(hilbert.embed_photon(photon_ops[0]), hilbert.ATOM_DIM),
-              np.diag(hilbert.embed_photon(photon_ops[1])).real,
-              np.diag(hilbert.embed_atom(sigma_z, p.space)).real)
+    # the diagonals of a ⊗ I (ATOM_DIM off), N ⊗ I and I ⊗ sigma_z, photon-major
+    layout = (np.repeat(np.diagonal(photon_ops[0], 1), hilbert.ATOM_DIM),
+              np.repeat(np.diagonal(photon_ops[1]).real, hilbert.ATOM_DIM),
+              np.tile(np.diagonal(sigma_z).real, p.space.dim))
     amps = coh.amplitudes
-    kets = np.array([np.kron(amps, spin) for spin in np.eye(hilbert.ATOM_DIM)])  # |alpha, s>
+    kets = np.zeros((hilbert.ATOM_DIM, hilbert.ATOM_DIM * p.space.dim), dtype=np.complex128)
+    for s in (hilbert.UP, hilbert.DOWN):
+        kets[s, s::hilbert.ATOM_DIM] = amps  # |alpha, s>
     norm0 = float(np.vdot(amps, amps).real)
     ts = scenario.times()
     gts = scenario.gt_values()

@@ -267,6 +267,24 @@ def _csv_chunks(head: str, table: np.ndarray):
         yield format_rows(table[start:start + CSV_CHUNK_ROWS])
 
 
+def _require_finite(fmt: str, columns) -> None:
+    """A one-line ValueError naming the first (name, values) column, in file order, not finite."""
+    for name, values in columns:
+        if not np.isfinite(values).all():
+            raise ValueError(f"{fmt} output needs finite values; {name} is not finite")
+
+
+def _json_array(values, pad: str) -> str:
+    """A float array as json.dumps(indent=2) writes it ``pad`` deep: ``repr`` per value."""
+    text = f",\n{pad}  ".join(map(float.__repr__, np.asarray(values, dtype=np.float64).tolist()))
+    return f"[\n{pad}  {text}\n{pad}]" if text else "[]"
+
+
+def _json_nested(obj) -> str:
+    """A small object as json.dumps(indent=2) writes it one level deep."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+
 def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) -> None:
     """Serialize a series deterministically; CSV embeds the scenario as '#' comments."""
     meta = dict(series.metadata)
@@ -278,20 +296,17 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
             "# metadata: " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
             "gt," + ",".join(names),
         ]
+        _require_finite("CSV", [("gt", series.gt)] + [(n, series.channels[n]) for n in names])
         table = np.column_stack([series.gt] + [series.channels[n] for n in names])
-        finite = np.isfinite(table).all(axis=0)
-        if not finite.all():
-            raise ValueError(f"CSV output needs finite values; "
-                             f"{(['gt'] + names)[np.argmin(finite)]} is not finite")
         _atomic_write(path, _csv_chunks("".join(line + "\n" for line in head), table))
-    elif fmt == "json":
-        doc = {
-            "scenario": echo,
-            "gt": [float(x) for x in series.gt],
-            "channels": {n: [float(x) for x in series.channels[n]] for n in names},
-            "metadata": meta,
-        }
-        _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"])
+    elif fmt == "json":  # json.dumps(doc, sort_keys=True, indent=2) + "\n", keys in its order
+        _require_finite("JSON", [(n, series.channels[n]) for n in names] + [("gt", series.gt)])
+        channels = ",\n".join(f"    {json.dumps(n)}: {_json_array(series.channels[n], '    ')}"
+                               for n in names)
+        _atomic_write(path, ['{\n  "channels": ' + ("{\n" + channels + "\n  }" if names else "{}"),
+                             ',\n  "gt": ' + _json_array(series.gt, "  "),
+                             ',\n  "metadata": ' + _json_nested(meta),
+                             ',\n  "scenario": ' + _json_nested(echo) + "\n}\n"])
     else:
         raise OutputError(f"unknown output format {fmt!r}")
 

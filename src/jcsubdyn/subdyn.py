@@ -271,6 +271,8 @@ def _effective_matrices(u: np.ndarray, side: str, ops, weight: np.ndarray,
     side of U with its tensor legs swapped.  Raises :class:`CrossCheckError` if
     the routes disagree beyond :data:`ROUTE_TOL` for any operator.
     """
+    if u.shape[0] % ATOM_DIM:
+        raise ValueError("composite dimension must be even")
     nph = u.shape[0] // ATOM_DIM
     if side == "photon":
         dim, other = nph, ATOM_DIM

@@ -1,3 +1,4 @@
+import json
 import os
 
 # One BLAS thread, set before numpy loads OpenBLAS (it reads these once, at
@@ -37,3 +38,19 @@ def text_mismatch(got, want):
         if a != b:
             return f"line {i}: {a!r} != {b!r}"
     return None if got == want else f"{len(got)} != {len(want)} characters"
+
+
+def json_reference(series, echo):
+    """The JSON file ``cli.emit_output`` writes, as one ``json.dumps`` of the whole document."""
+    from jcsubdyn import __version__
+
+    meta = dict(series.metadata)
+    meta["version"] = __version__
+    names = sorted(series.channels)
+    doc = {
+        "scenario": echo,
+        "gt": [float(x) for x in series.gt],
+        "channels": {n: [float(x) for x in series.channels[n]] for n in names},
+        "metadata": meta,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

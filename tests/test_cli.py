@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import percent_17g, text_mismatch
-from jcsubdyn import _csvtext, cli
+from conftest import json_reference, percent_17g, text_mismatch
+from jcsubdyn import _csvtext, analysis, cli, hilbert
 
 ROOT10 = math.sqrt(10.0)
 
@@ -202,11 +203,28 @@ class TestInputHardening:
         atom = np.diag([1.0, 0.0]).astype(complex)
         for params, oracle, needle in (
                 (JcmParams(1.0, 1.0, 0.02, 10), "false", "oracle must be true or false"),
-                (JcmParams(1e308, 1e308, 0.02, 10), True, "truncated Hamiltonian overflows")):
+                (JcmParams(1e308, 1e308, 0.02, 10), True, "truncated Hamiltonian overflows"),
+                (JcmParams(1.0, 1.0, 0.02, 3000), True, "oracle's dense work")):
             with pytest.raises(ValueError, match=needle) as err:
                 Scenario(params=params, atom_init=atom, magnitude=1.0, grid=(0.0, 1.0, 3),
                          oracle=oracle)
             assert "\n" not in str(err.value)
+
+    def test_oracle_over_work_budget_exits_2_within_a_second(self, tmp_path):
+        # a child capped at 1 GiB: without the check it would build dense d = 6002
+        # matrices (576 MB each), so it fails at once instead of running for minutes
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        timed = ("import sys, time; from jcsubdyn import cli; t0 = time.perf_counter(); "
+                 "code = cli.main(sys.argv[1:]); print(time.perf_counter() - t0); sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", timed, "--n-max", "3000", "--grid", "0", "50", "20",
+             "--oracle", "on"], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: the oracle's dense work")
+        assert proc.stderr.count("\n") == 1
+        assert float(proc.stdout) < 1.0
 
     def test_library_params_must_be_finite(self):
         from jcsubdyn.jcm import JcmParams
@@ -227,8 +245,6 @@ class TestInputHardening:
     def test_non_finite_output_refused(self, tmp_path, capsys, monkeypatch):
         # the input checks keep every known overflow out, so a NaN channel is
         # injected behind them: the run must still refuse to write it
-        from jcsubdyn import analysis
-
         real = analysis.observable_series
 
         def poisoned(*args, **kwargs):
@@ -272,20 +288,24 @@ class TestInputHardening:
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_json_output_never_holds_nan(self, tmp_path):
-        from jcsubdyn import analysis
         from jcsubdyn.jcm import JcmParams
 
         scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
                                      atom_init=np.diag([1.0, 0.0]).astype(complex))
-        series = analysis.TimeSeries(scenario, np.array([0.0, 1.0]),
-                                     {"quasi_n": np.array([0.0, math.nan])}, {})
         out = tmp_path / "nan.json"
-        with pytest.raises(ValueError, match="JSON"):
-            cli.emit_output(series, "json", str(out), {})
-        assert not out.exists()
+        # the channels come before gt in the file, so sigma_z_mean is named first
+        for gt, channels, name in (
+                ([0.0, 1.0], {"quasi_n": [0.0, math.nan]}, "quasi_n"),
+                ([0.0, math.inf], {"quasi_n": [0.0, 1.0], "sigma_z_mean": [math.inf, math.nan]},
+                 "sigma_z_mean")):
+            series = analysis.TimeSeries(scenario, np.array(gt),
+                                         {n: np.array(v) for n, v in channels.items()}, {})
+            with pytest.raises(ValueError, match="JSON") as err:
+                cli.emit_output(series, "json", str(out), {})
+            assert str(err.value) == f"JSON output needs finite values; {name} is not finite"
+            assert not out.exists()
 
     def test_csv_output_never_holds_nan(self, tmp_path):
-        from jcsubdyn import analysis
         from jcsubdyn.jcm import JcmParams
 
         scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
@@ -417,7 +437,6 @@ class TestCsvText:
         assert text_mismatch(_csvtext.format_rows(block), percent_17g(block)) is None
 
     def test_bytes_do_not_depend_on_chunk_rows(self, tmp_path, monkeypatch):
-        from jcsubdyn import analysis
         from jcsubdyn.jcm import JcmParams
 
         values = _edge_doubles()[:3 * 600].reshape(3, 600)
@@ -434,6 +453,81 @@ class TestCsvText:
         for text in texts:
             assert text_mismatch(text[-len(want):], want) is None
         assert len({text[:-len(want)] for text in texts}) == 1
+
+
+#: Output file name -> (CLI flags, SHA-256 of the file as one json.dumps of the
+#: document wrote it): the benchmark's oracle workload at seed 1, and a
+#: 2000-point oracle run from a mixed atom start at alpha phase 0.3.  Like the
+#: figure1 digests they depend on libm and the BLAS kernels.
+JSON_RUNS = {
+    "oracle.json": (
+        ["--omega", "1.0", "--omega0", "0.8596907267662797", "--g", "0.02",
+         "--alpha-mag", "3.1622776601683795", "--atom-uu", "0.8157033029899695",
+         "--atom-ud-re", "0.03351521603971697", "--atom-ud-im", "0.38627471412847425",
+         "--atom-dd", "0.18429669701003043", "--grid", "0", "50", "50", "--oracle", "on",
+         "--format", "json"],
+        "01158e4096c4026fffd2583e00f9827852fd1ec2980944cf711419efc060b378"),
+    "mixed.json": (
+        ["--omega", "1", "--omega0", "0.8", "--g", "0.02", "--alpha-mag", "3.1622776601683795",
+         "--alpha-phase", "0.3", "--atom-uu", "0.6", "--atom-ud-re", "-0.3",
+         "--atom-ud-im", "0.35", "--atom-dd", "0.4", "--grid", "0", "50", "2000",
+         "--oracle", "on", "--format", "json"],
+        "d6713facfbd27631a48a3dfe66054d061cea14221e52a2e660f660138a7fd6c6"),
+}
+
+
+class TestJsonText:
+    """The JSON file is json.dumps(doc, sort_keys=True, indent=2) plus a newline, to the byte."""
+
+    @staticmethod
+    def _mismatch(series, echo, path):
+        cli.emit_output(series, "json", str(path), echo)
+        return text_mismatch(path.read_text(encoding="utf-8"), json_reference(series, echo))
+
+    def test_seeded_mixed_start_oracle_series(self, tmp_path, rng):
+        theta, phi = rng.uniform(0.3, 1.2), rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+        out = tmp_path / "o.json"
+        cfg = base_config(out, alpha_phase=rng.uniform(-math.pi, math.pi), oracle=True,
+                          atom_init={"uu": c * c, "ud_re": c * s * math.cos(phi),
+                                     "ud_im": -c * s * math.sin(phi), "dd": s * s},
+                          output={"format": "json", "path": str(out)})
+        scenario, echo = cli._resolve(cfg, hilbert.DEFAULT_TAIL_TOL)
+        series = analysis.observable_series(scenario)
+        assert "oracle_deviation" in series.metadata and "oracle_quasi_n" in series.channels
+        assert self._mismatch(series, echo, out) is None
+
+    @pytest.mark.parametrize("gt, channels", [
+        (np.arange(12) * 0.5,
+         {"quasi_n": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, -1.7976931348623157e308, 1e16,
+                               9999999999999998.0, 1e-5, 1e-4, 0.1]),
+          "counts": np.arange(-3, 9, dtype=np.int64)}),
+        (np.array([2.5]), {"quasi_n": np.array([-0.0])}),
+        (np.array([0.0, 1.0]), {}),
+    ], ids=["edge-values", "one-point", "no-channels"])
+    def test_hand_built_series(self, tmp_path, gt, channels):
+        from jcsubdyn.jcm import JcmParams
+
+        scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
+                                     atom_init=np.diag([1.0, 0.0]).astype(complex))
+        series = analysis.TimeSeries(scenario, gt, channels, {"tail_ok": True, "lhs": -0.0})
+        echo = {"grid": {"steps": len(gt)}, "empty": {}, "list": [1, 2.5]}
+        assert self._mismatch(series, echo, tmp_path / "h.json") is None
+
+    def test_echo_path_with_quote_and_non_ascii(self, tmp_path):
+        out = tmp_path / 'say "hi" \u03c8.json'
+        cfg = base_config(out, output={"format": "json", "path": str(out)})
+        scenario, echo = cli._resolve(cfg, hilbert.DEFAULT_TAIL_TOL)
+        assert self._mismatch(analysis.observable_series(scenario), echo, out) is None
+        assert '\\"hi\\" \\u03c8.json' in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", sorted(JSON_RUNS))
+    def test_cli_digest(self, tmp_path, monkeypatch, name):
+        argv, digest = JSON_RUNS[name]
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv + ["--output", name]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestOracleMode:
@@ -586,7 +680,6 @@ def _per_t_channels(scenario):
 class TestBundledFigureConfig:
     def _series_from_csv(self, path):
         """Rebuild an analysis series from an emitted CSV (plot-tool viewpoint)."""
-        from jcsubdyn import analysis
         from jcsubdyn.jcm import JcmParams
 
         comments, header, rows = load_csv(path)
@@ -651,8 +744,6 @@ class TestBundledFigureConfig:
             assert max(deviations.values()) <= cli.CROSSCHECK_TOL
 
     def test_three_series_files_with_features(self, tmp_path, monkeypatch):
-        from jcsubdyn import analysis
-
         repo_config = os.path.join(os.path.dirname(__file__), "..", "configs", "figure1.json")
         monkeypatch.chdir(tmp_path)
         assert cli.main(["--config", os.path.abspath(repo_config)]) == 0

@@ -193,6 +193,11 @@ class TestEffectiveOperator:
             subdyn.effective_operator(u, number_op(params.space), "photon",
                                       random_density(rng, 2), 3.0)
 
+    @pytest.mark.parametrize("side", ["photon", "atom"])
+    def test_odd_composite_dimension_refused(self, side):
+        with pytest.raises(ValueError, match="^composite dimension must be even$"):
+            subdyn.effective_operator(np.eye(5), np.eye(2), side, np.eye(2) / 2)
+
 
 def mixed_density(rng, dim, rank):
     """Density matrix of exactly ``rank`` with eigenvalues bounded away from 0."""
