@@ -219,6 +219,9 @@ def _resolve(cfg: dict, tail_tol: float):
         raise ConfigError("output path must not be empty")
     if os.path.isdir(out["path"]):
         raise ConfigError(f"output path {out['path']!r} is a directory")
+    # exit 4 as the write would give, but before the work instead of after it
+    if not os.path.isdir(parent := os.path.dirname(os.path.abspath(out["path"]))):
+        raise OutputError(f"cannot write {out['path']}: no directory {parent}")
 
     rho = np.array([[atom["uu"], atom["ud_re"] + 1j * atom["ud_im"]],
                     [atom["ud_re"] - 1j * atom["ud_im"], atom["dd"]]],

@@ -107,6 +107,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path, base_config("/nonexistent-dir/deep/out.csv"))
         assert cli.main(["--config", cfg]) == 4
 
+    @pytest.mark.parametrize("parent", ["nodir", "file.txt"])
+    def test_missing_output_directory_exits_4_before_any_work(self, tmp_path, monkeypatch,
+                                                              capsys, parent):
+        def fail(*args, **kwargs):
+            raise AssertionError("observable_series ran")
+
+        monkeypatch.setattr(analysis, "observable_series", fail)
+        (tmp_path / "file.txt").write_text("")
+        out = tmp_path / parent / "x.csv"
+        assert cli.main(["--output", str(out)]) == 4
+        assert capsys.readouterr().err == (f"output error: cannot write {out}: "
+                                           f"no directory {tmp_path / parent}\n")
+
     def test_invalid_atom_density_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "x.csv",
                           atom_init={"uu": 0.9, "ud_re": 0.0, "ud_im": 0.0, "dd": 0.9})

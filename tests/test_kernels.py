@@ -86,9 +86,11 @@ def test_corr_tables_bytes_match_literal_assembly(half_det, g):
 
 def test_block_rows_halve_to_the_cell_budget():
     assert _kernels.block_rows(3) == _kernels.T_BLOCK == 512
-    cols = (32, 33, 64, 65, 88, 1002)
-    assert [_kernels.block_rows(c) for c in cols] == [512, 256, 256, 128, 128, 16]
+    cols = (64, 65, 88, 128, 129, 1002)
+    assert [_kernels.block_rows(c) for c in cols] == [512, 256, 256, 256, 128, 32]
     assert _kernels.block_rows(_kernels.BLOCK_CELLS + 1) == 1
+    assert [_kernels.block_rows(c, _kernels.LONE_ROW_CELLS) for c in cols] == [256, 128, 128, 128,
+                                                                               64, 16]
 
 
 # 1673 leaves a partial last block and 2048 fills whole blocks, for blocks of
@@ -151,22 +153,29 @@ def test_smallest_truncation_ends(tmp_path):
 # (half_det, g, n_max, mean, rho_uu, rho_ud, steps); each starts the atom in a
 # superposition, so C_n and D_n reach quasi_a and qpl_cd (figure1 starts in
 # |up>, where the block skips them: these pins alone carry them).  At n_max 86
-# the last of four 128-row blocks holds 33 rows, a 32-row complex product
-# chunk and a lone row; at n_max 36 the last 256-row block holds 129, a lone
-# row after both the real (128-row) and the complex (64-row) chunks; at
-# n_max 20 the last 512-row block holds a single grid point.
+# the last 256-row block holds 161 rows, whose last complex product chunk
+# holds 32 rows and a lone row; at n_max 36 the last 512-row block holds 129,
+# a lone row after both the real (128-row) and the complex (64-row) chunks;
+# at n_max 20 the last 512-row block holds a single grid point.  The last two,
+# at n_max 86, end in an 88-row block after two 256-row ones, and in a lone
+# row that follows two 256-row blocks and a 128-row one.
 PINNED = [
     (-0.19, 0.02, 86, 40.0, 0.9, 0.24 + 0.13j, 417),
     (0.15, 0.02, 36, 10.0, 0.6, -0.3 + 0.35j, 641),
     (-0.07, 0.05, 20, 5.0, 0.3, 0.1 - 0.42j, 1025),
+    (-0.19, 0.02, 86, 40.0, 0.9, 0.24 + 0.13j, 600),
+    (0.11, 0.03, 86, 40.0, 0.35, -0.28 + 0.2j, 641),
 ]
 #: SHA-256 over the eight outputs of channel_sums (dtype name, then bytes) as
-#: the serial, unchunked implementation wrote them.  Like the figure1 digests
-#: they depend on libm and the BLAS kernels.
+#: the serial, unchunked implementation wrote them; the last two as the
+#: implementation with blocks of at most 1 << 14 cells wrote them.  Like the
+#: figure1 digests they depend on libm and the BLAS kernels.
 PINNED_SHA256 = [
     "77e87d85dcde652225c6446550d43fb26a81e872307758b7642da5fed01af8fa",
     "94bc12565c54c78f49982f0f4247511c58e098ef55fbc583f8a318cedbdd5ae0",
     "3ed85e60cbd84d52f5d0289033b87a6de4b0d3dae257b52de4952c0460ce8c0c",
+    "35f2edb446db9c42d2366e846f92d301ba6827fd186753a787b38a9f42eba684",
+    "81c5ae48b751289434679bee05d38d0e1dcaa1a03fdba0973d4b91ad38399a1e",
 ]
 
 
@@ -193,8 +202,10 @@ def pinned_digests():
 
 def test_pinned_scenarios_reach_their_chunk_shapes():
     rows = [_kernels.block_rows(case[2] + 2) for case in PINNED]
-    assert rows == [128, 256, 512]
-    assert [case[-1] % r for case, r in zip(PINNED, rows)] == [33, 129, 1]
+    assert rows == [256, 512, 512, 256, 256]
+    assert [case[-1] % r for case, r in zip(PINNED, rows)] == [161, 129, 1, 88, 129]
+    # the last goes alone, as blocks of LONE_ROW_CELLS leave it
+    assert PINNED[-1][-1] % _kernels.block_rows(88, _kernels.LONE_ROW_CELLS) == 1
 
 
 @pytest.mark.parametrize("index", range(len(PINNED)))
@@ -216,26 +227,37 @@ def test_mixed_start_sums_keep_their_bytes(index):
 # (half_det, g, n_max, mean, rho_uu, rho_ud, steps) of starts with a density
 # weight of exactly 0, whose terms the block skips: |up>, |down>,
 # diag(0.6, 0.4), and |up> at alpha = 0, where alpha * a_sum has -0 parts that
-# the skipped terms would turn into +0.  Each grid ends in a lone row.
+# the skipped terms would turn into +0.  Each grid but the fifth ends in a lone
+# row: the third after a 256-row block and a 128-row one, the others after
+# full blocks; the fifth ends in a 188-row block after two 256-row ones.
 ZERO_WEIGHT = [
     (0.075, 0.02, 36, 10.0, 1.0, 0j, 1537),
     (-0.11, 0.03, 20, 6.0, 0.0, 0j, 1025),
     (0.2, 0.02, 86, 40.0, 0.6, 0j, 385),
     (-0.0, 0.05, 12, 0.0, 1.0, 0j, 1025),
+    (0.2, 0.02, 86, 40.0, 0.6, 0j, 700),
+    (-0.13, 0.02, 86, 40.0, 0.0, 0j, 513),
 ]
-#: As PINNED_SHA256, written by the implementation that evaluated every term.
+#: As PINNED_SHA256, written by the implementation that evaluated every term;
+#: the last two by the implementation with blocks of at most 1 << 14 cells.
 ZERO_WEIGHT_SHA256 = [
     "e57472ce755af33165ac917357a31c63668cc0255e85071463be3a347b4e1fc6",
     "0f78a824ed18cb4528e1fb7ad735f8dad7f3972954402b8c05e0fcb8dc97fe93",
     "a9b0aa373ac83e7f18bdc54789cdff17a77f0acbc390e10353da335c43cbb5ca",
     "63e940ae0edb11ba560c53a81234ac692ddcf23fe78b1d3a8d337893e3c21b60",
+    "54931a6d8a637e078eb21e5cd0f1517d2da90e9742cdf97e39b89946297285b9",
+    "e7de8d2c83a67bf61b04a471239ceb1587051bc53a7e58ba8cc08dd9d9cc975d",
 ]
 
 
 def test_zero_weight_scenarios_span_blocks_and_end_in_a_lone_row():
-    for case in ZERO_WEIGHT:
-        rows = _kernels.block_rows(case[2] + 2)
-        assert case[-1] > 2 * rows and case[-1] % rows == 1
+    rows = [_kernels.block_rows(case[2] + 2) for case in ZERO_WEIGHT]
+    assert all(case[-1] > r for case, r in zip(ZERO_WEIGHT, rows))
+    assert [case[-1] % r for case, r in zip(ZERO_WEIGHT, rows)] == [1, 1, 129, 1, 188, 1]
+    # the third ends in a lone row as blocks of LONE_ROW_CELLS leave it
+    lone = [case[-1] % _kernels.block_rows(case[2] + 2, _kernels.LONE_ROW_CELLS) == 1
+            for case in ZERO_WEIGHT]
+    assert lone == [True, True, True, True, False, True]
 
 
 @pytest.mark.parametrize("index", range(len(ZERO_WEIGHT)))
@@ -255,6 +277,47 @@ def test_sums_do_not_depend_on_the_blas_thread_count():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == PINNED_SHA256
+
+
+# 1100 points end in a 76-row block at any of these budgets; 1153 points end
+# in a lone row, which blocks of 64 rows leave alone and LONE_ROW_CELLS keeps so
+@pytest.mark.parametrize("steps", [1100, 1153])
+def test_block_size_moves_no_byte(monkeypatch, steps):
+    """A mixed start at n_max 86, reduced by both workers in blocks of 64 to
+    512 rows: every cell budget gives the bytes of the 1 << 14 one."""
+    _force_workers(monkeypatch, 2)
+    args = _pinned_args(0.13, 0.02, 86, 40.0, 0.7, 0.3 - 0.2j, steps)
+    rows, digests = [], {}
+    for cells in (1 << 13, 1 << 14, 1 << 15, 1 << 16):
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", cells)
+        rows.append(_kernels.block_rows(88))
+        digests[cells] = _digest(_kernels.channel_sums(*args))
+    assert rows == [64, 128, 256, 512]
+    assert digests == dict.fromkeys(digests, digests[1 << 14])
+
+
+def test_repeated_calls_fault_in_few_pages():
+    """Three calls at n_max 86 on 5000 points in a fresh process: the tables of
+    a block live in a workspace, so the second and third call fault in fewer
+    than 2000 pages (each block's freed temporaries took tens of thousands)."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    code = ("import json, resource, test_kernels as tk\n"
+            "from jcsubdyn import _kernels\n"
+            "args = tk._pinned_args(-0.19, 0.02, 86, 40.0, 0.9, 0.24 + 0.13j, 5000)\n"
+            "faults = []\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    _kernels.channel_sums(*args)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(json.dumps(faults))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert max(faults[1:]) < 2000, faults
 
 
 # --- the two block workers --------------------------------------------------
@@ -350,12 +413,13 @@ def test_helper_block_keeps_the_callers_ignore_errstate(monkeypatch):
 
 
 def test_sweep_scale_blocks_match_the_oracle(monkeypatch):
-    """|alpha|² = 40 (n_max 86, the sweep's truncation) on 400 points: four
-    128-row blocks, the sweep's block shape, reduced by both workers."""
+    """|alpha|² = 40 (n_max 86, the sweep's truncation) on 400 points: a
+    256-row block, the sweep's block shape, and a 144-row one, reduced by both
+    workers."""
     _force_workers(monkeypatch, 2)
     g, ratio = 0.02, 9.5
     n_max = auto_n_max(40.0)
-    assert n_max == 86 and 400 > 3 * _kernels.block_rows(n_max + 2) == 3 * 128
+    assert n_max == 86 and 400 > _kernels.block_rows(n_max + 2) == 256
     theta, phi = 0.6, 5.8
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     rho = np.array([[c * c, c * s * np.exp(-1j * phi)], [c * s * np.exp(1j * phi), s * s]])

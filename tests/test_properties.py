@@ -210,10 +210,15 @@ def zero_weight_sums_args(draw):
 # |down>, a subnormal alpha whose products with a_sum underflow
 @example(_sums_args(12, 0.0, 0.0, 0.05, 100.0, 600, -0.0, 1.0, 0.0, 0j))
 @example(_sums_args(12, 1e-323, math.pi, 0.05, 100.0, 600, 0.1, 0.0, 1.0, 0j))
+# a lone last row after one 256-row block, in a grid of one 512-row block
+@example(_sums_args(40, 2.0, 0.4, 0.05, 100.0, 257, 0.1, 0.7, 0.3, 0j))
 @given(zero_weight_sums_args())
 def test_skipped_terms_leave_the_sums_bitwise(args):
     ts, n_max = args[0], args[1]
-    rows = _kernels.block_rows(n_max + 2)
+    # channel_sums reduces a last row alone exactly where these blocks leave it
+    # alone, and no temporary of the reference's operator chains reaches the
+    # 256 KiB at which numpy would reuse it in place
+    rows = _kernels.block_rows(n_max + 2, _kernels.LONE_ROW_CELLS)
     blocks = [_every_term_block(ts[k:k + rows], *args[1:]) for k in range(0, len(ts), rows)]
     for got, want in zip(_kernels.channel_sums(*args), zip(*blocks)):
         assert got.tobytes() == np.concatenate(want).tobytes()
