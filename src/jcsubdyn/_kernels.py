@@ -20,7 +20,8 @@ the same formula, no special casing).
 Each dressing coefficient is written once, here: :func:`dressing_a`,
 :func:`dressing_c` and :func:`dressing_d` for the quasi-annihilation
 operator, :func:`dressing_n` for the quasi-number operator,
-:func:`inversion_series` for the dressed inversion and
+:func:`inversion_series` for the dressed inversion (whose w_n² table and
+s3 sum also give the quasi-number channel of :func:`channel_sums`) and
 :func:`spin_plus_terms` for the dressed raising operator.  They take
 the sectors as a half-open range ``lo, hi`` and read sector ``n`` and its
 neighbours ``n - 1``, ``n + 1`` as basic column slices, so they work on the
@@ -128,26 +129,6 @@ def _matvec(m, x):
     return out
 
 
-#: The t-independent sector factors, by the formula each evaluates over n.
-_SECTOR_FACTORS = {
-    "sqrt(n)": lambda n: np.sqrt(n),
-    "sqrt(n+1)": lambda n: np.sqrt(n + 1.0),
-    "1/sqrt(n+1)": lambda n: 1.0 / np.sqrt(n + 1.0),
-    "sqrt(n(n+1))": lambda n: np.sqrt(n * (n + 1.0)),
-    "sqrt((n+2)/(n+1))": lambda n: np.sqrt((n + 2.0) / (n + 1.0)),
-    "sqrt(n/(n+1))": lambda n: np.sqrt(n / (n + 1.0)),
-}
-
-
-@functools.lru_cache(maxsize=64)
-def _sector_factor(formula: str, lo: int, hi: int) -> np.ndarray:
-    """``_SECTOR_FACTORS[formula]`` over sectors n = lo..hi-1, computed once per
-    range instead of once per block; read-only, since every caller shares it."""
-    row = _SECTOR_FACTORS[formula](np.arange(lo, hi, dtype=np.float64))
-    row.flags.writeable = False
-    return row
-
-
 @functools.lru_cache(maxsize=16)
 def _sector_rates(half_det_hex: str, g_hex: str, n_cols: int):
     """lam, cos2t and sin2t of the table columns, read-only.
@@ -193,19 +174,21 @@ def dressing_a(v, w, lo, hi, rho_uu, rho_dd, ws=None):
 
     Reads sectors n - 1..n + 1; pristine value 1.
     """
+    n = np.arange(lo, hi, dtype=np.float64)
     vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
     # a branch weighted by an exact 0 would add signed zeros to the other one,
     # which has no -0 part at the weight 1 a density then gives it (its complex
     # add makes every -0 imaginary part +0, its real part is a cosine product)
     branches = [(rho, k, factor) for rho, other, k, factor in
-                ((rho_uu, rho_dd, 2, "sqrt((n+2)/(n+1))"), (rho_dd, rho_uu, 0, "sqrt(n/(n+1))"))
+                ((rho_uu, rho_dd, 2, np.sqrt((n + 2.0) / (n + 1.0))),
+                 (rho_dd, rho_uu, 0, np.sqrt(n / (n + 1.0))))
                 if rho != 0.0 or other == 0.0]
     a = None
     for (rho, k, factor), name in zip(branches, ("coef", "aux")):
         term = np.conj(vn, out=_table(ws, name, vn.shape))
         np.multiply(term, v[..., lo + k:hi + k], out=term)
         real = np.multiply(wn, w[..., lo + k:hi + k], out=_table(ws, "real", wn.shape))
-        np.add(term, np.multiply(real, _sector_factor(factor, lo, hi), out=real), out=term)
+        np.add(term, np.multiply(real, factor, out=real), out=term)
         np.multiply(rho, term, out=term)
         a = term if a is None else np.add(a, term, out=a)
     return a
@@ -213,25 +196,27 @@ def dressing_a(v, w, lo, hi, rho_uu, rho_dd, ws=None):
 
 def _off_diagonal(v, w, lo, hi, rho, conj, first, second, ws):
     """1j rho (w_{n-1} X(v_n) first - w_n X(v_{n-1}) second) over sectors n = lo..hi-1,
-    where X conjugates when ``conj`` is set and ``first``, ``second`` name sector factors."""
+    where X conjugates when ``conj`` is set and ``first``, ``second`` are rows over n."""
     terms = []
     for wk, vk, factor, name in ((w[..., lo:hi], v[..., lo + 1:hi + 1], first, "coef"),
                                  (w[..., lo + 1:hi + 1], v[..., lo:hi], second, "aux")):
         term = _table(ws, name, vk.shape)
         np.multiply(wk, np.conj(vk, out=term) if conj else vk, out=term)
-        terms.append(np.multiply(term, _sector_factor(factor, lo, hi), out=term))
+        terms.append(np.multiply(term, factor, out=term))
     coef = np.subtract(terms[0], terms[1], out=terms[0])
     return np.multiply(1j * rho, coef, out=coef)
 
 
 def dressing_c(v, w, lo, hi, rho_du, ws=None):
     """C_n, the two-quantum |n-1><n+1| coefficient, for sectors n = lo..hi-1."""
-    return _off_diagonal(v, w, lo, hi, rho_du, True, "sqrt(n+1)", "sqrt(n)", ws)
+    n = np.arange(lo, hi, dtype=np.float64)
+    return _off_diagonal(v, w, lo, hi, rho_du, True, np.sqrt(n + 1.0), np.sqrt(n), ws)
 
 
 def dressing_d(v, w, lo, hi, rho_ud, ws=None):
     """D_n, the quantum-conserving diagonal |n><n| coefficient, for sectors n = lo..hi-1."""
-    return _off_diagonal(v, w, lo, hi, rho_ud, False, "sqrt(n)", "sqrt(n+1)", ws)
+    n = np.arange(lo, hi, dtype=np.float64)
+    return _off_diagonal(v, w, lo, hi, rho_ud, False, np.sqrt(n), np.sqrt(n + 1.0), ws)
 
 
 def dressing_n(v, w, lo, hi, rho_uu, rho_dd, rho_ud):
@@ -242,23 +227,23 @@ def dressing_n(v, w, lo, hi, rho_uu, rho_dd, rho_ud):
     return n + rho_uu * wn ** 2 - rho_dd * w[..., lo:hi] ** 2, -1j * rho_ud * wn * vn
 
 
-def inversion_series(v, w, lo, hi, p, p1, alpha, ws=None):
-    """(s1, s2, s3) of the dressed inversion over sectors n = lo..hi-1.
+def inversion_series(v, w, lo, hi, p, p1, ws=None):
+    """(w2, s1, s2, t3) of the dressed inversion over sectors n = lo..hi-1.
 
-    s1 = 1 - 2 sum p(n) w_n², s2 = -1 + 2 sum p(n+1) w_n² and
-    s3 = -2i alpha sum p(n) w_n conj(v_n) / sqrt(n+1), with ``p`` and ``p1``
-    indexed by sector.  The s3 term of sector n pairs the coherent
-    amplitudes n and n + 1, so s3 stops one sector earlier, at n = hi - 2.
+    w2 is the w_n² table, s1 = 1 - 2 sum p(n) w_n², s2 = -1 + 2 sum p(n+1) w_n²
+    and t3 = sum p(n) w_n conj(v_n) / sqrt(n+1), with ``p`` and ``p1`` indexed
+    by sector; s3 = -2i alpha t3.  The t3 term of sector n pairs the coherent
+    amplitudes n and n + 1, so t3 stops one sector earlier, at n = hi - 2.
     """
     vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
     w2 = np.square(wn, out=_table(ws, "real", wn.shape))
     s1 = 1.0 - 2.0 * _matvec(w2, p[lo:hi])
     s2 = -1.0 + 2.0 * _matvec(w2, p1[lo:hi])
-    root = _sector_factor("1/sqrt(n+1)", lo, hi - 1)
-    s3_terms = np.conj(vn[..., :-1], out=_table(ws, "coef", vn[..., :-1].shape))
-    np.multiply(wn[..., :-1], s3_terms, out=s3_terms)
-    s3 = -2j * alpha * np.multiply(p[lo:hi - 1] * root, s3_terms, out=s3_terms).sum(axis=-1)
-    return s1, s2, s3
+    root = 1.0 / np.sqrt(np.arange(lo, hi - 1, dtype=np.float64) + 1.0)
+    terms = np.conj(vn[..., :-1], out=_table(ws, "coef", vn[..., :-1].shape))
+    np.multiply(wn[..., :-1], terms, out=terms)
+    t3 = np.multiply(p[lo:hi - 1] * root, terms, out=terms).sum(axis=-1)
+    return w2, s1, s2, t3
 
 
 def spin_plus_terms(v, w, lo, hi, p, alpha):
@@ -368,25 +353,17 @@ def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
                         rho_uu, rho_dd, rho_ud, ws=None):
     """Every channel sum over one (len(ts), n_max + 2) table pair, kept in ``ws`` if given."""
     v, w = corr_tables(ts, half_det, g, n_max + 2, ws)
-    ns = np.arange(n_max + 1, dtype=np.float64)
-
-    # column slices in sector coordinates: idx j = n + 1
-    vn = v[:, 1:]            # v_n,   n = 0..n_max
-    wn = w[:, 1:]
-    wm = w[:, :-1]           # w_{n-1}
-
-    s1z, s2z, s3z = inversion_series(v, w, 0, n_max + 1, p, p1, alpha, ws)
-
-    root = _sector_factor("1/sqrt(n+1)", 0, n_max)
-    quasi_n = _matvec(np.square(wn, out=_table(ws, "real", wn.shape)), p * rho_uu)
+    w2, s1z, s2z, t3 = inversion_series(v, w, 0, n_max + 1, p, p1, ws)
+    s3z = -2j * alpha * t3
+    quasi_n = _matvec(w2, p * rho_uu)
     if rho_dd != 0.0:  # at rho_dd == 0 this subtracts +0, which changes no value
-        quasi_n = quasi_n - _matvec(np.square(wm, out=_table(ws, "real", wm.shape)), p * rho_dd)
-    quasi_n = quasi_n + float(ns @ p)
-    # at rho_ud == 0 the cross term is a signed zero, and a sum ending in n p(n) >= +0 is never -0
+        wm2 = np.square(w[:, :-1], out=w2)  # w_{n-1}², n = 0..n_max, over the read w_n²
+        quasi_n = quasi_n - _matvec(wm2, p * rho_dd)
+    quasi_n = quasi_n + float(np.arange(n_max + 1.0) @ p)
+    # at rho_ud == 0 the cross term is a signed zero, and a sum ending in n p(n) >= +0 is
+    # never -0; conj(t3) is the sum of p(n) w_n v_n / sqrt(n+1) but for a zero's sign
     if rho_ud != 0:
-        terms = np.multiply(wn[:, :-1], vn[:, :-1], out=_table(ws, "coef", (len(ts), n_max)))
-        np.multiply(p[:-1] * root, terms, out=terms)
-        cross = -1j * rho_ud * np.conj(alpha) * terms.sum(axis=1)
+        cross = -1j * rho_ud * np.conj(alpha) * np.conj(t3)
         quasi_n = quasi_n + 2.0 * cross.real
 
     # each coefficient table is reduced to its sums before the next takes its buffer
@@ -396,19 +373,18 @@ def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
     a_dev = np.subtract(a_coef, 1.0, out=_table(ws, "aux", a_coef.shape))
     qpl_dev = _matvec(np.abs(a_dev, out=moduli), p[:-1])
     qpl_abs_a = _matvec(np.abs(a_coef, out=moduli), p[:-1])
+    rot = np.exp(-1j * omega * ts)
     # at rho_ud == 0, C_n and D_n are signed zeros too (their moduli sum to +0): added
     # to alpha * a_sum they move only its -0 parts, found at alpha = 0 or on underflow
     if rho_ud == 0 and not _has_negative_zero(alpha * a_sum):
-        quasi_a, qpl_cd = np.exp(-1j * omega * ts) * (alpha * a_sum), np.zeros(len(ts))
+        quasi_a, qpl_cd = rot * (alpha * a_sum), np.zeros(len(ts))
         return s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a
     d_coef = dressing_d(v, w, 0, n_max + 1, rho_ud, ws)
     d_sum = _matvec(d_coef, p)
     qpl_cd = _matvec(np.abs(d_coef, out=_table(ws, "real", d_coef.shape)), p)
     c_coef = dressing_c(v, w, 1, n_max, np.conj(rho_ud), ws)
-    c_sum = _matvec(c_coef, p[:-2] / _sector_factor("sqrt(n(n+1))", 1, n_max))
+    n = np.arange(1, n_max, dtype=np.float64)
+    c_sum = _matvec(c_coef, p[:-2] / np.sqrt(n * (n + 1.0)))
     qpl_cd = qpl_cd + _matvec(np.abs(c_coef, out=_table(ws, "real", c_coef.shape)), p[1:-1])
-
-    rot = np.exp(-1j * omega * ts)
     quasi_a = rot * (alpha * a_sum + alpha * alpha * c_sum + d_sum)
-
     return s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a

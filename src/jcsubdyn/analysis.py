@@ -159,12 +159,11 @@ class TimeSeries:
 def _closed_channels(scenario: Scenario):
     p = scenario.params
     coh = scenario.coherent()
-    weights = coh.weights()
-    weights_next = hilbert.poisson_weights(coh.mean_photons, p.n_max + 1)[1:]
+    both = hilbert.poisson_weights(coh.mean_photons, p.n_max + 1)  # p(n) and p(n+1)
     rho = scenario.atom_init
     ts = scenario.times()
     s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a = _kernels.channel_sums(
-        ts, p.n_max, p.half_detuning, p.g, p.omega, weights, weights_next,
+        ts, p.n_max, p.half_detuning, p.g, p.omega, both[:-1], both[1:],
         coh.alpha, rho[0, 0].real, rho[1, 1].real, complex(rho[0, 1]))
     sigma_mean = (rho[0, 0].real * s1z + rho[1, 1].real * s2z
                   + 2.0 * (rho[1, 0] * s3z).real)
@@ -428,12 +427,8 @@ def qpl_dominance(t: float, atom_init: np.ndarray, params: jcm.JcmParams,
         raise ValueError("weights must have one entry per retained photon number")
     # the sectors of the qpl_ratio channel: A_n and C_n need sector n + 1 and
     # stop below n_max; D_n needs sectors n - 1 and n only and runs to n_max
-    n_max = params.n_max
-    v, w = jcm._corr_row(t, params)
-    a = _kernels.dressing_a(v, w, 0, n_max, atom_init[0, 0].real, atom_init[1, 1].real)
-    c = _kernels.dressing_c(v, w, 1, n_max, atom_init[1, 0])
-    d = _kernels.dressing_d(v, w, 0, n_max + 1, atom_init[0, 1])
-    ns = np.arange(n_max)
+    a, c, d = jcm._photon_coefficients(t, atom_init, params)
+    ns = np.arange(params.n_max)
     dev = np.abs(a - 1.0)
     num = float(weights[1:-1] @ np.abs(c) + weights @ np.abs(d))
     den = float(weights[:-1] @ np.abs(a))

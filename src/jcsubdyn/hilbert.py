@@ -124,6 +124,8 @@ def poisson_weights(mean: float, n_max: int) -> np.ndarray:
     back to the log domain (lgamma) when exp(-mean) would underflow.  Either
     way p(n) does not depend on ``n_max``.
     """
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean!r}")
     if mean < 0:
         raise ValueError("mean must be >= 0")
     if mean == 0.0:
@@ -203,8 +205,12 @@ class CoherentState:
 
 
 def coherent_state(magnitude: float, phase: float, space: FockSpace) -> CoherentState:
+    if not math.isfinite(float(magnitude) * float(magnitude)):  # NaN, inf and overflow
+        raise ValueError(f"magnitude and its square must be finite, got {magnitude!r}")
     if magnitude < 0:
         raise ValueError("magnitude must be >= 0")
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase!r}")
     alpha = magnitude * complex(math.cos(phase), math.sin(phase))
     amps = np.empty(space.dim, dtype=np.complex128)
     mean = magnitude ** 2

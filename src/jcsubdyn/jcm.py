@@ -298,6 +298,16 @@ def photon_dressing(n: int, t: float, atom_init: np.ndarray, params: JcmParams) 
     return PhotonDressing(n, t, complex(a[0]), complex(c[0]), complex(d[0]))
 
 
+def _photon_coefficients(t: float, atom_init: np.ndarray, params: JcmParams):
+    """A_n (n < n_max), C_n (0 < n < n_max) and D_n (n <= n_max) at time t, for a
+    validated ``atom_init``: the sectors of the quasi-annihilation operator."""
+    n_max = params.n_max
+    v, w = _corr_row(t, params)
+    return (_kernels.dressing_a(v, w, 0, n_max, atom_init[UP, UP].real, atom_init[DOWN, DOWN].real),
+            _kernels.dressing_c(v, w, 1, n_max, atom_init[DOWN, UP]),
+            _kernels.dressing_d(v, w, 0, n_max + 1, atom_init[UP, DOWN]))
+
+
 def quasi_annihilation(t: float, atom_init: np.ndarray, params: JcmParams) -> EffectiveOperator:
     """Heisenberg-picture annihilation operator of the photon sub-dynamics.
 
@@ -306,12 +316,8 @@ def quasi_annihilation(t: float, atom_init: np.ndarray, params: JcmParams) -> Ef
     exact (untruncated) coefficients.
     """
     atom_init = require_atom_density(atom_init)
-    n_max = params.n_max
-    v, w = _corr_row(t, params)
-    a = _kernels.dressing_a(v, w, 0, n_max, atom_init[UP, UP].real, atom_init[DOWN, DOWN].real)
-    c = _kernels.dressing_c(v, w, 1, n_max, atom_init[DOWN, UP])
-    d = _kernels.dressing_d(v, w, 0, n_max + 1, atom_init[UP, DOWN])
-    m = np.diag(np.sqrt(np.arange(1.0, n_max + 1)) * a, 1) + np.diag(c, 2) + np.diag(d)
+    a, c, d = _photon_coefficients(t, atom_init, params)
+    m = np.diag(np.sqrt(np.arange(1.0, params.n_max + 1)) * a, 1) + np.diag(c, 2) + np.diag(d)
     return EffectiveOperator("photon", t, cmath.exp(-1j * params.omega * t) * m, atom_init)
 
 
@@ -384,10 +390,10 @@ def spin_z_series(t: float, coherent: CoherentState, params: JcmParams) -> SpinD
     if coherent.n_max != params.n_max:
         raise ValueError("coherent state truncation does not match params")
     v, w = _corr_row(t, params)
-    p = coherent.weights()
-    p_next = poisson_weights(coherent.mean_photons, params.n_max + 1)[1:]
-    full, short = (_kernels.inversion_series(v, w, 0, hi, p, p_next, coherent.alpha)
-                   for hi in (params.n_max + 1, params.n_max))
+    both = poisson_weights(coherent.mean_photons, params.n_max + 1)  # p(n) and p(n+1)
+    full, short = ((s1, s2, -2j * coherent.alpha * t3) for _, s1, s2, t3 in
+                   (_kernels.inversion_series(v, w, 0, hi, both[:-1], both[1:])
+                    for hi in (params.n_max + 1, params.n_max)))
     ok = _tail_ok([(complex(s), complex(s - r)) for s, r in zip(full, short)])
     s1, s2, s3 = float(full[0]), float(full[1]), complex(full[2])
     return SpinDressing("z", t, s1, s2, s3, np.conj(s3), tail_ok=ok)

@@ -139,7 +139,8 @@ def _batched_duality(ts, p, coh, rho):
     rhs_plus = np.exp(1j * p.omega * ts) * (s3p * rho[0, 0] + s1p * rho[1, 0]
                                             + s2p * rho[0, 1] + s4p * rho[1, 1])
     p_next = poisson_weights(coh.mean_photons, n_max + 1)[1:]
-    s1z, s2z, s3z = _kernels.inversion_series(v, w, 0, n_max + 1, p_n, p_next, coh.alpha)
+    _, s1z, s2z, t3 = _kernels.inversion_series(v, w, 0, n_max + 1, p_n, p_next)
+    s3z = -2j * coh.alpha * t3
     rhs_z = s1z * rho[0, 0] + s3z * rho[1, 0] + np.conj(s3z) * rho[0, 1] + s2z * rho[1, 1]
     return {
         "a": (lhs(annihilation(p.space), eye_at), rhs_a),

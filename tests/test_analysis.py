@@ -450,3 +450,21 @@ class TestWindowHelpers:
             got = analysis._runs(mask)
             assert got == _runs_loop(mask)
             assert all(type(i) is int for pair in got for i in pair)
+
+
+#: (call, exception type, message needle) of a one-line refusal
+REFUSALS = {
+    "unknown-channel": (lambda: observable_series(fig_scenario(10.0, grid=(0.0, 1.0, 16)))
+                        .channel("sigma_x"), KeyError, "series has no channel 'sigma_x'"),
+    # at ratio 0 and mean 0 the detection window is pi, 49 points of this grid
+    "detection-window": (lambda: collapse_revival_features(observable_series(Scenario(
+        params=JcmParams(1.0, 1.0, 0.02, 8), atom_init=EXCITED, magnitude=0.0,
+        grid=(0.0, 1.0, 16)))), ValueError, "too short for the detection window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal(case):
+    call, exc, needle = REFUSALS[case]
+    with pytest.raises(exc, match=needle):
+        call()

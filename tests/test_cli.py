@@ -343,6 +343,15 @@ class TestAtomicWrite:
             cli._atomic_write(str(tmp_path / "out.csv"), chunks())
         assert os.listdir(tmp_path) == []
 
+    def test_failed_rename_is_output_error_and_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(cli.OutputError, match="cannot write .*Permission denied"):
+            cli._atomic_write(str(tmp_path / "out.csv"), ["line\n"])
+        assert os.listdir(tmp_path) == []
+
     @pytest.fixture
     def umask_027(self):
         old = os.umask(0o027)
@@ -778,3 +787,26 @@ class TestBundledFigureConfig:
             revived += bool(feats.revival_peaks)
         # the two smaller detunings revive within the bundled gt window
         assert revived >= 2
+
+
+def _tiny_series():
+    from jcsubdyn.jcm import JcmParams
+
+    scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
+                                 atom_init=np.diag([1.0, 0.0]).astype(complex))
+    return analysis.TimeSeries(scenario, np.zeros(2), {"quasi_n": np.zeros(2)}, {})
+
+
+#: (call, exception type, message needle) of a one-line refusal
+REFUSALS = {
+    "unknown-format": (lambda path: cli.emit_output(_tiny_series(), "xml", str(path), {}),
+                       cli.OutputError, "unknown output format 'xml'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal(case, tmp_path):
+    call, exc, needle = REFUSALS[case]
+    with pytest.raises(exc, match=needle):
+        call(tmp_path / "out.xml")
+    assert os.listdir(tmp_path) == []

@@ -202,7 +202,7 @@ class TestAutoTruncation:
                     if r > Decimal("1e-300"))
         assert worst < Decimal("1e-14")
 
-    @pytest.mark.parametrize("mean", [40.0, 149.5, 650.0])
+    @pytest.mark.parametrize("mean", [40.0, 149.5, 650.0, 1500.0])
     def test_weights_do_not_depend_on_n_max(self, mean):
         shorter, longer = poisson_weights(mean, 150), poisson_weights(mean, 151)
         assert shorter.tobytes() == longer[:151].tobytes()
@@ -288,3 +288,33 @@ class TestDensityValidation:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             require_atom_density(np.eye(3, dtype=complex))
+
+
+#: (call, exception type, message needle) of a one-line refusal
+REFUSALS = {
+    "coherent-nan-magnitude": (lambda: coherent_state(math.nan, 0.0, FockSpace(5)),
+                               ValueError, "magnitude and its square must be finite"),
+    "coherent-inf-magnitude": (lambda: coherent_state(math.inf, 0.0, FockSpace(5)),
+                               ValueError, "magnitude and its square must be finite"),
+    "coherent-magnitude-squared-overflows": (lambda: coherent_state(1e200, 0.0, FockSpace(5)),
+                                             ValueError, "magnitude and its square must be finite"),
+    "coherent-inf-phase": (lambda: coherent_state(1.0, math.inf, FockSpace(5)),
+                           ValueError, "phase must be finite"),
+    "coherent-nan-phase": (lambda: coherent_state(1.0, math.nan, FockSpace(5)),
+                           ValueError, "phase must be finite"),
+    "poisson-nan-mean": (lambda: poisson_weights(math.nan, 3), ValueError, "mean must be finite"),
+    "poisson-inf-mean": (lambda: poisson_weights(math.inf, 3), ValueError, "mean must be finite"),
+    "poisson-negative-mean": (lambda: poisson_weights(-1.0, 3), ValueError, "mean must be >= 0"),
+    "auto-n-max-beyond-limit": (lambda: auto_n_max(99999.0), ValueError, "no n_max up to 100000"),
+    "tensor-atom-not-2x2": (lambda: tensor_product(np.eye(3), np.eye(3)),
+                            ValueError, "atom operator must be 2x2"),
+    "partial-trace-bad-over": (lambda: partial_trace(np.eye(4, dtype=complex), "field"),
+                               ValueError, "over must be 'photon' or 'atom'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal(case):
+    call, exc, needle = REFUSALS[case]
+    with pytest.raises(exc, match=needle):
+        call()

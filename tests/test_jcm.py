@@ -414,3 +414,26 @@ class TestParamValidation:
         p = JcmParams(1.0, 0.85, 0.1, 10)
         assert p.detuning == 1.0 - 0.85
         assert p.half_detuning == p.detuning / 2
+
+
+#: (call, exception type, message needle) of a one-line refusal; ``SMALL`` and
+#: ``COH`` disagree in their truncation
+SMALL = JcmParams(1.0, 0.8, 0.02, 6)
+COH = coherent_state(1.0, 0.0, JcmParams(1.0, 0.8, 0.02, 7).space)
+REFUSALS = {
+    "marginal-bad-side": (lambda: jcm.closed_marginal("field", EXCITED, COH, 1.0, SMALL),
+                          ValueError, "side must be 'atom' or 'photon'"),
+    "marginal-truncation": (lambda: jcm.closed_marginal("atom", EXCITED, COH, 1.0, SMALL),
+                            ValueError, "truncation does not match params"),
+    "spin-plus-truncation": (lambda: jcm.spin_plus_series(1.0, COH, SMALL),
+                             ValueError, "truncation does not match params"),
+    "spin-z-truncation": (lambda: jcm.spin_z_series(1.0, COH, SMALL),
+                          ValueError, "truncation does not match params"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal(case):
+    call, exc, needle = REFUSALS[case]
+    with pytest.raises(exc, match=needle):
+        call()

@@ -95,3 +95,17 @@ def test_hermitian_tolerance_is_relative():
     h[0, 1] = 1e-4
     with pytest.raises(ValueError):
         numerics.require_hermitian(h)
+
+
+#: (call, exception type, message needle) of a one-line refusal
+REFUSALS = {
+    "hermitian-not-square": (lambda: numerics.require_hermitian(np.zeros((2, 3))),
+                             ValueError, "must be square"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal(case):
+    call, exc, needle = REFUSALS[case]
+    with pytest.raises(exc, match=needle):
+        call()

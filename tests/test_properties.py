@@ -158,17 +158,17 @@ def _every_term_block(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_d
     v, w = _kernels.corr_tables(ts, half_det, g, n_max + 2)
     ns = np.arange(n_max + 1, dtype=np.float64)
     vn, wn, wm = v[:, 1:], w[:, 1:], w[:, :-1]
-    s1z, s2z, s3z = _kernels.inversion_series(v, w, 0, n_max + 1, p, p1, alpha)
-    root = _kernels._sector_factor("1/sqrt(n+1)", 0, n_max)
+    _, s1z, s2z, t3 = _kernels.inversion_series(v, w, 0, n_max + 1, p, p1)
+    s3z = -2j * alpha * t3
+    root = 1.0 / np.sqrt(ns[:-1] + 1.0)
     quasi_n = (_kernels._matvec(wn ** 2, p * rho_uu) - _kernels._matvec(wm ** 2, p * rho_dd)
                + float(ns @ p))
     cross = -1j * rho_ud * np.conj(alpha) * ((p[:-1] * root) * (wn[:, :-1] * vn[:, :-1])).sum(axis=1)
     quasi_n = quasi_n + 2.0 * cross.real
     va, wa = v[:, 1:n_max + 1], w[:, 1:n_max + 1]
-    a_up = np.conj(va) * v[:, 2:] + wa * w[:, 2:] * _kernels._sector_factor(
-        "sqrt((n+2)/(n+1))", 0, n_max)
-    a_dn = np.conj(va) * v[:, :n_max] + wa * w[:, :n_max] * _kernels._sector_factor(
-        "sqrt(n/(n+1))", 0, n_max)
+    n = ns[:-1]
+    a_up = np.conj(va) * v[:, 2:] + wa * w[:, 2:] * np.sqrt((n + 2.0) / (n + 1.0))
+    a_dn = np.conj(va) * v[:, :n_max] + wa * w[:, :n_max] * np.sqrt(n / (n + 1.0))
     a_coef = rho_uu * a_up + rho_dd * a_dn
     a_sum = _kernels._matvec(a_coef, p[:-1])
     qpl_dev = _kernels._matvec(np.abs(a_coef - 1.0), p[:-1])
@@ -177,7 +177,7 @@ def _every_term_block(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_d
     d_sum = _kernels._matvec(d_coef, p)
     qpl_cd = _kernels._matvec(np.abs(d_coef), p)
     c_coef = _kernels.dressing_c(v, w, 1, n_max, np.conj(rho_ud))
-    c_sum = _kernels._matvec(c_coef, p[:-2] / _kernels._sector_factor("sqrt(n(n+1))", 1, n_max))
+    c_sum = _kernels._matvec(c_coef, p[:-2] / np.sqrt(n[1:] * (n[1:] + 1.0)))
     qpl_cd = qpl_cd + _kernels._matvec(np.abs(c_coef), p[1:-1])
     quasi_a = np.exp(-1j * omega * ts) * (alpha * a_sum + alpha * alpha * c_sum + d_sum)
     return s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a

@@ -325,3 +325,54 @@ class TestValidatedSubspace:
         assert subdyn.validated_defect(a, b, n_max) == 0.0
         b[0, 0] = 0.5
         assert subdyn.validated_defect(a, b, n_max) == 0.5
+
+
+def _identity_kraus(side):
+    """A Kraus set of the identity propagator on the n_max = 2 composite space."""
+    return subdyn.kraus_extract(np.eye(6), side, coherent_state(1.0, 0.0, FockSpace(2)))
+
+
+#: (call, exception type, message needle) of a one-line refusal, on the
+#: n_max = 2 space (composite dimension 6) unless a case says otherwise
+REFUSALS = {
+    "assemble-atom-shape": (lambda: subdyn.assemble_hamiltonian(
+        np.eye(3), np.eye(3), np.zeros((6, 6)), FockSpace(2)), ValueError, "atom part must be 2x2"),
+    "assemble-coupling-shape": (lambda: subdyn.assemble_hamiltonian(
+        np.eye(3), np.eye(2), np.zeros((4, 4)), FockSpace(2)), ValueError, "coupling must be 6x6"),
+    "evolve-photon-space": (lambda: subdyn.evolve_and_reduce(
+        subdyn.assemble_hamiltonian(np.eye(3), np.eye(2), np.zeros((6, 6)), FockSpace(2)),
+        np.eye(2) / 2, EXCITED, 1.0), ValueError, "does not match the Fock space"),
+    "kraus-odd-dimension": (lambda: subdyn.kraus_extract(np.eye(5), "photon"),
+                            ValueError, "composite dimension must be even"),
+    "kraus-no-coherent-state": (lambda: subdyn.kraus_extract(np.eye(6), "atom"),
+                                ValueError, "needs the initial coherent state"),
+    "kraus-truncation": (lambda: subdyn.kraus_extract(
+        np.eye(6), "atom", coherent_state(1.0, 0.0, FockSpace(3))),
+        ValueError, "truncation does not match the propagator"),
+    "kraus-bad-side": (lambda: subdyn.kraus_extract(np.eye(6), "field"),
+                       ValueError, "side must be 'atom' or 'photon'"),
+    "apply-atom-kraus-photon-set": (lambda: subdyn.apply_atom_kraus(
+        _identity_kraus("photon"), EXCITED), ValueError, "atom-side Kraus set required"),
+    "apply-photon-kraus-atom-set": (lambda: subdyn.apply_photon_kraus(
+        _identity_kraus("atom"), np.eye(3) / 3, EXCITED),
+        ValueError, "photon-side Kraus set required"),
+    "effective-bad-side": (lambda: subdyn.effective_operator(
+        np.eye(6), np.eye(3), "field", EXCITED), ValueError, "side must be 'atom' or 'photon'"),
+    "effective-weight-shape": (lambda: subdyn.effective_operator(
+        np.eye(6), np.eye(3), "photon", np.eye(3) / 3),
+        ValueError, "photon-side weighting state must be 2x2"),
+    "effective-operator-shape": (lambda: subdyn.effective_operator(
+        np.eye(6), np.eye(2), "photon", EXCITED), ValueError, "photon-side operator must be 3x3"),
+    "algebra-mixed-sides": (lambda: subdyn.algebra_deviation(
+        subdyn.EffectiveOperator("atom", 0.0, np.eye(2), np.eye(3) / 3),
+        subdyn.EffectiveOperator("photon", 0.0, np.eye(3), EXCITED),
+        subdyn.EffectiveOperator("atom", 0.0, np.eye(2), np.eye(3) / 3)),
+        ValueError, "live on different sides"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal(case):
+    call, exc, needle = REFUSALS[case]
+    with pytest.raises(exc, match=needle):
+        call()
