@@ -73,6 +73,9 @@ MAX_PHASE = 1e-6 / np.finfo(np.float64).eps
 #: n_max 327 at 2000 points is 2.0e9 and takes about 1.6 s; at n_max 3000 one
 #: dense matrix alone holds 576 MB.
 MAX_ORACLE_WORK = 4e9
+#: An oracle's ‖H‖ t, ‖H‖ <= omega (n_max + 1) + |omega0| + g sqrt(n_max + 1), may reach
+#: MAX_PHASE / this: its channels drift by up to 1.5 eps ‖H‖ t (130 draws up to 4e9).
+ORACLE_PHASE_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,8 @@ class Scenario:
         p = self.params
         if not isinstance(self.oracle, bool):  # bool("false") is True
             raise ValueError(f"oracle must be true or false, got {self.oracle!r}")
-        if self.oracle and not math.isfinite(p.omega * (p.n_max + 1) + abs(p.omega0)
-                                             + p.g * math.sqrt(p.n_max + 1)):
+        h_bound = p.omega * (p.n_max + 1) + abs(p.omega0) + p.g * math.sqrt(p.n_max + 1)
+        if self.oracle and not math.isfinite(h_bound):
             raise ValueError("the oracle's truncated Hamiltonian overflows: "
                              "omega (n_max + 1) + |omega0| + g sqrt(n_max + 1) is not finite")
         d = hilbert.ATOM_DIM * (int(p.n_max) + 1)
@@ -114,6 +117,9 @@ class Scenario:
         if not rate * t_max <= MAX_PHASE:
             raise ValueError(f"phase rate x time {rate * t_max:.3g} exceeds {MAX_PHASE:.3g}: "
                              f"no phase keeps 1e-6 there (raise g or shorten the grid)")
+        if self.oracle and not h_bound * t_max <= MAX_PHASE / ORACLE_PHASE_SAFETY:
+            raise ValueError(f"the oracle's phase ‖H‖ x time {h_bound * t_max:.3g} exceeds "
+                             f"MAX_PHASE / {ORACLE_PHASE_SAFETY:g} (shorten the grid)")
         hilbert.require_atom_density(self.atom_init)
         if self.magnitude < 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude!r}")
@@ -221,6 +227,15 @@ def _state_channels(psi: np.ndarray, rho_atom: np.ndarray, a_shift: np.ndarray,
     return np.array([np.abs(weigh[0]), weigh[1].real, weigh[2].real, lower, upper]), gram
 
 
+def _photon_bands(dim: int):
+    """Rows sqrt(n) and n of a = sum_n sqrt(n+1) |n><n+1| and N, and the actions
+    x -> a x (row n is sqrt(n+1) x[n+1], the last row 0) and x -> N x on a leading leg."""
+    n = np.arange(dim, dtype=np.float64)
+    root_n = np.sqrt(n)
+    return root_n, n, (lambda x: np.vstack((root_n[1:, None] * x[1:], np.zeros_like(x[:1]))),
+                       lambda x: n[:, None] * x)
+
+
 def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float):
     """Brute-force versions of the closed-form channels, from two evolved states.
 
@@ -237,11 +252,10 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
     prop = subdyn.SpectralPropagator(h)
     prop.require_eigensystem(h)
     rho_atom = require_hermitian(scenario.atom_init, what="weighting state")
-    photon_ops = (hilbert.annihilation(p.space), hilbert.number_op(p.space))
+    root_n, n, bands = _photon_bands(p.space.dim)
     sigma_z = hilbert.pauli_ops().z
     # the diagonals of a ⊗ I (ATOM_DIM off), N ⊗ I and I ⊗ sigma_z, photon-major
-    layout = (np.repeat(np.diagonal(photon_ops[0], 1), hilbert.ATOM_DIM),
-              np.repeat(np.diagonal(photon_ops[1]).real, hilbert.ATOM_DIM),
+    layout = (np.repeat(root_n[1:], hilbert.ATOM_DIM), np.repeat(n, hilbert.ATOM_DIM),
               np.tile(np.diagonal(sigma_z).real, p.space.dim))
     amps = coh.amplitudes
     kets = np.zeros((hilbert.ATOM_DIM, hilbert.ATOM_DIM * p.space.dim), dtype=np.complex128)
@@ -265,11 +279,14 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
 
     rho_photon = require_hermitian(coh.density(), what="weighting state")
     atom_factors = subdyn._weight_factors(rho_atom)
-    photon_factors = subdyn._weight_factors(rho_photon)
+    # |alpha><alpha| is pure: its one Kraus factor q chi is the amplitudes (q = 1 if all are 0)
+    root = math.sqrt(norm0) or 1.0
+    photon_factors = (np.array([root]), (amps / root)[:, None])
     for k in _HEISENBERG_POINTS:
         u = subdyn.require_unitary(prop(ts[k]), "propagator")
-        eff_a, eff_n = subdyn._effective_matrices(u, "photon", photon_ops, rho_atom, atom_factors)
-        (eff_z,) = subdyn._effective_matrices(u, "atom", (sigma_z,), rho_photon, photon_factors)
+        eff_a, eff_n = subdyn._effective_matrices(u, "photon", bands, rho_atom, atom_factors)
+        (eff_z,) = subdyn._effective_matrices(u, "atom", (lambda x: sigma_z @ x,),
+                                              rho_photon, photon_factors)
         routes = (abs(amps.conj() @ eff_a @ amps), (amps.conj() @ eff_n @ amps).real,
                   np.trace(eff_z @ rho_atom).real, *np.linalg.eigvalsh(eff_z))
         gap = float(np.max(np.abs(np.array(routes) - values[:, k])))

@@ -52,7 +52,6 @@ from .subdyn import (
     BipartiteHamiltonian,
     EffectiveOperator,
     KrausSet,
-    assemble_hamiltonian,
     kraus_extract,
 )
 
@@ -185,8 +184,18 @@ def hamiltonian_parts(params: JcmParams):
 
 
 def hamiltonian(params: JcmParams) -> BipartiteHamiltonian:
-    h_photon, h_atom, h_coupling = hamiltonian_parts(params)
-    return assemble_hamiltonian(h_photon, h_atom, h_coupling, params.space)
+    """Composite H written from its bands, photon-major (|n, s> -> 2n + s), no product formed:
+    omega (n + 1/2) ± omega0/2 (up/down) on the diagonal, g sqrt(n+1) between |n, up> and
+    |n+1, down>.  Bit for bit ``assemble_hamiltonian(*hamiltonian_parts(params), space)``."""
+    n_max, half, d = params.n_max, 0.5 * params.omega0, ATOM_DIM * (params.n_max + 1)
+    s = np.sqrt(np.arange(n_max + 1, dtype=np.float64))
+    h = np.zeros((d, d), dtype=np.complex128)
+    flat, step = h.reshape(-1), ATOM_DIM * (d + 1)  # one sector on: two rows, two columns
+    flat[::d + 1] = (np.repeat(params.omega * (s * s + 0.5), ATOM_DIM)
+                     + np.tile([half, -half], n_max + 1))  # (up, down)
+    for first in (ATOM_DIM + DOWN, (ATOM_DIM + DOWN) * d):  # <0, up|H|1, down> and its mirror
+        flat[first:first + n_max * step:step] = params.g * s[1:]
+    return BipartiteHamiltonian(params.space, h)
 
 
 def constant_of_motion(params: JcmParams) -> np.ndarray:

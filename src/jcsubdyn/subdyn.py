@@ -262,14 +262,16 @@ def _weight_factors(weight: np.ndarray):
     return np.sqrt(np.clip(evals[keep], 0.0, None)), evecs[:, keep]
 
 
-def _effective_matrices(u: np.ndarray, side: str, ops, weight: np.ndarray,
+def _effective_matrices(u: np.ndarray, side: str, actions, weight: np.ndarray,
                         factors) -> list[np.ndarray]:
-    """Direct-route effective matrices of ``ops`` on ``side``, each checked against the Kraus route.
+    """Direct-route effective matrices on ``side``, each checked against the Kraus route.
 
-    ``u`` is checked unitary and ``weight``, the other side's start, Hermitian;
-    ``factors`` are its :func:`_weight_factors`.  The atom side is the photon
-    side of U with its tensor legs swapped.  Raises :class:`CrossCheckError` if
-    the routes disagree beyond :data:`ROUTE_TOL` for any operator.
+    Each of ``actions`` maps x of shape (dim, k), acted-on leg first, to O x:
+    ``op @ x`` for a dense ``op``, a shifted or scaled copy for a band one.  ``u``
+    is checked unitary and ``weight``, the other side's start, Hermitian; its
+    ``factors`` (roots, vecs) give it as (vecs roots)(vecs roots)†.  The atom side
+    is the photon side of U with its tensor legs swapped.  Raises
+    :class:`CrossCheckError` if the routes disagree beyond :data:`ROUTE_TOL`.
     """
     if u.shape[0] % ATOM_DIM:
         raise ValueError("composite dimension must be even")
@@ -288,7 +290,7 @@ def _effective_matrices(u: np.ndarray, side: str, ops, weight: np.ndarray,
     def legs(x):  # [(n, s), (m, c)] -> [n, (s, c, m)], n the acted-on leg
         return x.reshape(dim, other, dim, -1).transpose(0, 1, 3, 2).reshape(dim, -1)
 
-    # the rows of ``(op @ x).reshape(-1, dim)`` are the summed indices (n, s, c)
+    # the rows of ``act(x).reshape(-1, dim)`` are the summed indices (n, s, c)
     # direct, Tr_other[U†(O⊗I)U(I⊗rho)]: ket = U(I⊗rho), bra = conj U
     ket = legs(u.reshape(-1, other) @ weight)
     bra = legs(u)  # always a copy (other, dim >= 2), so conjugated in place
@@ -298,14 +300,11 @@ def _effective_matrices(u: np.ndarray, side: str, ops, weight: np.ndarray,
     members_bra = members.reshape(-1, dim).conj().T
 
     out = []
-    for op in ops:
-        op = np.asarray(op, dtype=np.complex128)
-        if op.shape != (dim, dim):
-            raise ValueError(f"{side}-side operator must be {dim}x{dim}, got {op.shape}")
-        direct = bra @ (op @ ket).reshape(-1, dim)
-        via_kraus = members_bra @ (op @ members).reshape(-1, dim)
+    for act in actions:
+        direct = bra @ act(ket).reshape(-1, dim)
+        via_kraus = members_bra @ act(members).reshape(-1, dim)
         defect = max_abs(direct - via_kraus)
-        if defect > ROUTE_TOL:
+        if not defect <= ROUTE_TOL:
             raise CrossCheckError(f"{side}-side effective-operator routes disagree by "
                                   f"{defect:.3e} (> {ROUTE_TOL:.1e})")
         out.append(direct)
@@ -323,7 +322,12 @@ def effective_operator(u: np.ndarray, op: np.ndarray, side: str,
     other_initial = require_hermitian(np.asarray(other_initial, dtype=np.complex128),
                                       what="weighting state")
     u = require_unitary(u, "propagator")
-    (matrix,) = _effective_matrices(u, side, (op,), other_initial, _weight_factors(other_initial))
+    op = np.asarray(op, dtype=np.complex128)
+    dim = ATOM_DIM if side == "atom" else len(u) // ATOM_DIM
+    if op.shape != (dim, dim):
+        raise ValueError(f"{side}-side operator must be {dim}x{dim}, got {op.shape}")
+    (matrix,) = _effective_matrices(u, side, (lambda x: op @ x,), other_initial,
+                                    _weight_factors(other_initial))
     return EffectiveOperator(side, t, matrix, other_initial)
 
 

@@ -144,6 +144,22 @@ class TestObservableSeries:
             Scenario(params=params, atom_init=EXCITED, grid=(0.0, 5e4 * params.g, 2))
         Scenario(params=params, atom_init=EXCITED, grid=(0.0, 4e4 * params.g, 2))
 
+    @pytest.mark.parametrize("gt, refused", [(5e4, True), (2e4, False)])
+    def test_oracle_phase_budget_counts_the_hamiltonian_norm(self, gt, refused):
+        # ‖H‖ ≈ omega (n_max + 1) = 87: at gt 5e4 (‖H‖ t = 4.4e9, under MAX_PHASE) the
+        # oracle drifts 1.11e-6 from the closed forms; at 2e4 (1.7e9) it keeps 1e-6
+        from jcsubdyn import cli
+
+        sc = dict(params=JcmParams(1.0, 0.99, 0.001, auto_n_max(40.0)), atom_init=EXCITED,
+                  magnitude=math.sqrt(40.0), grid=(0.0, gt, 40), oracle=True)
+        Scenario(**{**sc, "oracle": False})  # the closed path alone keeps its phases
+        if refused:
+            with pytest.raises(ValueError, match="the oracle's phase ‖H‖ x time 4.4e\\+09"):
+                Scenario(**sc)
+        else:
+            series = observable_series(Scenario(**sc))
+            assert series.metadata["oracle_deviation_max"] <= cli.CROSSCHECK_TOL
+
     def test_oracle_channels_track_closed_forms(self):
         sc = fig_scenario(10.0, n_max=40, grid=(0.0, 18.0, 25), oracle=True)
         series = observable_series(sc)
@@ -232,6 +248,38 @@ class TestSchrodingerOracle:
                             lambda prop, h: None)
         with pytest.raises(subdyn.CrossCheckError, match="norm or orthogonality"):
             self._run(self._scenario(MIXED))
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, math.nan])
+    def test_scaled_coherent_factor_trips_route_check(self, monkeypatch, scale):
+        effective = subdyn._effective_matrices
+
+        def scaled(u, side, actions, weight, factors):
+            if side == "atom":  # the Kraus factor of |alpha><alpha|
+                factors = (factors[0] * scale, factors[1])
+            return effective(u, side, actions, weight, factors)
+
+        sc = self._scenario(MIXED)
+        self._run(sc)  # the intact factor agrees
+        monkeypatch.setattr(subdyn, "_effective_matrices", scaled)
+        with pytest.raises(subdyn.CrossCheckError, match="atom-side effective-operator routes"):
+            self._run(sc)
+
+    def test_coherent_factor_carries_a_truncated_norm(self):
+        # n_max 12 at mean 10 leaves a tail mass of about 0.2, so the Kraus factor
+        # must carry Tr|alpha><alpha| = 1 - tail_mass exactly as the dense weight does
+        sc = Scenario(params=JcmParams(1.0, 0.8, 0.02, 12), atom_init=MIXED, magnitude=ROOT10,
+                      grid=(0.0, 40.0, 5), oracle=True)
+        assert sc.coherent().tail_mass > 0.1
+        self._run(sc)
+
+    def test_all_zero_coherent_amplitudes_keep_both_routes(self):
+        # mean 1e4 at n_max 5: every retained amplitude underflows to 0, so the
+        # coherent factor is a zero vector, as the dense weight is a zero matrix
+        sc = Scenario(params=JcmParams(1.0, 0.9, 0.01, 5), atom_init=MIXED, magnitude=100.0,
+                      grid=(0.0, 10.0, 5), oracle=True)
+        assert not sc.coherent().amplitudes.any()
+        got = self._run(sc)
+        assert not got["oracle_quasi_n"].any()
 
     @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
     def test_heisenberg_points_catch_a_perturbed_state_value(self, monkeypatch, end):

@@ -190,6 +190,12 @@ class TestInputHardening:
                        "--grid", "0", "1", "3", "--oracle", "on"], tmp_path, capsys,
                       "truncated Hamiltonian overflows")
 
+    def test_oracle_phase_beyond_its_budget_rejected(self, tmp_path, capsys):
+        # under MAX_PHASE, but here the oracle drifts 1.11e-6 from the closed forms (exit 3)
+        self._rejects(["--alpha-mag", "6.324555320336759", "--g", "0.001", "--omega0", "0.99",
+                       "--grid", "0", "5e4", "40", "--oracle", "on"], tmp_path, capsys,
+                      "the oracle's phase ‖H‖ x time 4.4e+09 exceeds MAX_PHASE / 2")
+
     def test_auto_n_max_beyond_search_limit_rejected(self, tmp_path, capsys):
         self._rejects(["--alpha-mag", "1000", "--grid", "0", "1", "3"], tmp_path, capsys,
                       "n_max 'auto'")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jcsubdyn import jcm, subdyn
+from jcsubdyn import analysis, jcm, subdyn
 from jcsubdyn.hilbert import (FockSpace, annihilation, coherent_state, number_op,
                               partial_trace, pauli_ops)
 from jcsubdyn.numerics import max_abs
@@ -44,6 +44,18 @@ class TestAssembly:
         h_ph, h_at, h_c = jcm.hamiltonian_parts(params)
         half = subdyn.assemble_hamiltonian(h_ph, h_at, 0.5 * h_c, params.space)
         np.testing.assert_allclose(ham.total - half.total, 0.5 * h_c, atol=1e-14)
+
+    def test_banded_hamiltonian_equals_assembled_parts_bitwise(self, rng):
+        # jcm.hamiltonian writes H from its bands; signed zeros of omega0 included
+        draws = np.rint(np.exp(rng.uniform(0.0, math.log(330.0), 21)))  # log-uniform n_max
+        for k, n_max in enumerate((1, 2, 330, *draws)):
+            omega0 = (0.0, -0.0, rng.uniform(-3.0, 3.0), -(10.0 ** rng.uniform(-6, 3)))[k % 4]
+            g = 0.0 if k % 3 == 0 else 10.0 ** rng.uniform(-5, 1)
+            p = jcm.JcmParams(10.0 ** rng.uniform(-3, 3), omega0, g, int(n_max))
+            ref = subdyn.assemble_hamiltonian(*jcm.hamiltonian_parts(p), p.space).total
+            got = jcm.hamiltonian(p).total
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64),
+                                          err_msg=repr(p))
 
     def test_non_hermitian_part_rejected(self):
         space = FockSpace(3)
@@ -249,7 +261,11 @@ class TestMixedWeightings:
         weights = {"photon": mixed_density(rng, 2, 2), "atom": mixed_density(rng, space.dim, 3)}
         for side, ops in self._ops(space, rng).items():
             weight = weights[side]
-            together = subdyn._effective_matrices(u, side, ops, weight,
+            actions = [lambda x, op=op: op @ x for op in ops]
+            if side == "photon":  # and the oracle's band actions of a and N
+                actions += analysis._photon_bands(space.dim)[2]
+                ops += ops[:2]
+            together = subdyn._effective_matrices(u, side, actions, weight,
                                                   subdyn._weight_factors(weight))
             assert len(together) == len(ops)
             for op, matrix in zip(ops, together):
