@@ -35,7 +35,6 @@ formula, so numpy never swaps the operands to reuse a temporary in place.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import threading
@@ -48,6 +47,7 @@ __all__ = [
     "MATVEC_BYTES",
     "block_rows",
     "active_lane",
+    "sector_rate",
     "corr_tables",
     "dressing_a",
     "dressing_c",
@@ -129,31 +129,28 @@ def _matvec(m, x):
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _sector_rates(half_det_hex: str, g_hex: str, n_cols: int):
-    """lam, cos2t and sin2t of the table columns, read-only.
+def sector_rate(half_det, kappa):
+    """lam = sqrt(half_det² + kappa²) of sectors with kappa = g sqrt(n+1), scalar or array."""
+    return np.sqrt(half_det * half_det + kappa * kappa)
 
-    Keyed by the exact float bits (``float.hex``), so that -0.0 and 0.0,
-    which give differently signed zeros, are cached apart.
-    """
-    half_det, g = float.fromhex(half_det_hex), float.fromhex(g_hex)
-    ns = np.arange(-1, n_cols - 1, dtype=np.float64)
-    kappa = g * np.sqrt(ns + 1.0)
-    lam = np.sqrt(half_det * half_det + kappa * kappa)
+
+def _sector_rates(half_det: float, g: float, n_cols: int):
+    """lam, cos2t and sin2t of the table columns."""
+    kappa = g * np.sqrt(np.arange(-1, n_cols - 1, dtype=np.float64) + 1.0)
+    lam = sector_rate(half_det, kappa)
     safe = np.where(lam > 0.0, lam, 1.0)
     cos2t = np.where(lam > 0.0, half_det / safe, 1.0)
     sin2t = np.where(lam > 0.0, kappa / safe, 0.0)
-    for row in (lam, cos2t, sin2t):
-        row.flags.writeable = False
     return lam, cos2t, sin2t
 
 
 # --- correlation-factor tables ---------------------------------------------
 
-def corr_tables(ts: np.ndarray, half_det: float, g: float, n_cols: int, ws=None):
-    """v and w tables of shape (len(ts), n_cols); column j is sector n = j-1."""
+def corr_tables(ts: np.ndarray, half_det: float, g: float, n_cols: int, ws=None, rates=None):
+    """v and w tables of shape (len(ts), n_cols); column j is sector n = j-1.  ``rates``
+    are their :func:`_sector_rates` rows, if already made."""
     ts = np.asarray(ts, dtype=np.float64)
-    lam, cos2t, sin2t = _sector_rates(float(half_det).hex(), float(g).hex(), int(n_cols))
+    lam, cos2t, sin2t = rates or _sector_rates(float(half_det), float(g), int(n_cols))
     phase = np.outer(ts, lam, out=_table(ws, "real", (ts.size, lam.size)))
     sin_p = np.sin(phase, out=_table(ws, "w", phase.shape))
     # v holds the bytes of cos(phase) + 1j * cos2t * sin_p, assembled without
@@ -292,6 +289,7 @@ def channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rh
             np.asarray(p, dtype=np.float64), np.asarray(p1, dtype=np.float64),
             complex(alpha), float(rho_uu), float(rho_dd), complex(rho_ud))
     rows = block_rows(args[0] + 2)
+    rates = _sector_rates(args[1], args[2], args[0] + 2)  # read by every block
     # numpy takes a one-row block through a dot kernel, which rounds differently
     # from the matrix-vector one: the last row goes alone exactly where blocks of
     # LONE_ROW_CELLS leave it alone, so no budget from there up moves a byte
@@ -312,7 +310,7 @@ def channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rh
             if k >= n_blocks or errors:
                 return
             rows_k = blocks[k]
-            for out, part in zip(sums, _channel_sums_block(ts[rows_k], *args, ws)):
+            for out, part in zip(sums, _channel_sums_block(ts[rows_k], *args, ws, rates)):
                 out[rows_k] = part
 
     if _block_workers(n_blocks) == 1:
@@ -350,9 +348,9 @@ def _has_negative_zero(x) -> bool:
 
 
 def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
-                        rho_uu, rho_dd, rho_ud, ws=None):
+                        rho_uu, rho_dd, rho_ud, ws=None, rates=None):
     """Every channel sum over one (len(ts), n_max + 2) table pair, kept in ``ws`` if given."""
-    v, w = corr_tables(ts, half_det, g, n_max + 2, ws)
+    v, w = corr_tables(ts, half_det, g, n_max + 2, ws, rates)
     w2, s1z, s2z, t3 = inversion_series(v, w, 0, n_max + 1, p, p1, ws)
     s3z = -2j * alpha * t3
     quasi_n = _matvec(w2, p * rho_uu)

@@ -76,6 +76,12 @@ MAX_ORACLE_WORK = 4e9
 #: An oracle's ‖H‖ t, ‖H‖ <= omega (n_max + 1) + |omega0| + g sqrt(n_max + 1), may reach
 #: MAX_PHASE / this: its channels drift by up to 1.5 eps ‖H‖ t (130 draws up to 4e9).
 ORACLE_PHASE_SAFETY = 2.0
+#: Most table cells steps x (n_max + 2) a scenario's closed path may reduce: about
+#: 6.5 s at 65 ns a cell (n_max 300-3000, two block workers on a 2-vCPU Xeon).
+MAX_TABLE_CELLS = 1e8
+#: Most output values steps x (channels + oracle twins + gt) a scenario may ask for:
+#: about 250 MB of JSON (25 B a value) or 190 MB of CSV (19 B), 80 MB as arrays.
+MAX_OUTPUT_VALUES = 1e7
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,9 @@ class Scenario:
         if self.oracle and not work <= MAX_ORACLE_WORK:
             raise ValueError(f"the oracle's dense work d³ + 2 d² steps is {work:.3g} at d = {d}, "
                              f"over {MAX_ORACLE_WORK:.3g} (lower n_max or the grid steps)")
+        if not (cells := int(steps) * (int(p.n_max) + 2)) <= MAX_TABLE_CELLS:
+            raise ValueError(f"the closed path's tables hold steps x (n_max + 2) = {cells:.3g} "
+                             f"cells, over {MAX_TABLE_CELLS:.3g} (lower n_max or the grid steps)")
         rate = max(p.omega, abs(p.omega0), p.sector_rate(p.n_max))
         t_max = max(abs(start), abs(stop)) / (p.g if p.g > 0 else 1.0)
         if not rate * t_max <= MAX_PHASE:
@@ -134,6 +143,11 @@ class Scenario:
         unknown = set(self.channels) - set(DEFAULT_CHANNELS)
         if unknown:
             raise ValueError(f"unknown channels: {sorted(unknown)}")
+        twins = len(set(self.channels) & set(ORACLE_CHANNELS)) if self.oracle else 0
+        if not (values := int(steps) * (len(self.channels) + twins + 1)) <= MAX_OUTPUT_VALUES:
+            raise ValueError(f"the output holds steps x (channels + oracle twins + gt) = "
+                             f"{values:.3g} values, over {MAX_OUTPUT_VALUES:.3g} "
+                             f"(lower the grid steps or the channels)")
 
     def gt_values(self) -> np.ndarray:
         start, stop, steps = self.grid
@@ -162,6 +176,16 @@ class TimeSeries:
         return self.channels[name]
 
 
+def _spectrum(s1, s2, s3):
+    """(offset, dispersion) of [[s1, s3], [conj(s3), s2]]: eigenvalues offset ± dispersion."""
+    return 0.5 * (s1 + s2), np.hypot(0.5 * (s1 - s2), np.abs(s3))
+
+
+def _conserved(mean_n, mean_z):
+    """<N> + (1/2)<sigma_z>, the constant of motion, from <N> and <sigma_z>."""
+    return mean_n + 0.5 * mean_z
+
+
 def _closed_channels(scenario: Scenario):
     p = scenario.params
     coh = scenario.coherent()
@@ -173,9 +197,8 @@ def _closed_channels(scenario: Scenario):
         coh.alpha, rho[0, 0].real, rho[1, 1].real, complex(rho[0, 1]))
     sigma_mean = (rho[0, 0].real * s1z + rho[1, 1].real * s2z
                   + 2.0 * (rho[1, 0] * s3z).real)
-    offset = 0.5 * (s1z + s2z)
-    dispersion = np.hypot(0.5 * (s1z - s2z), np.abs(s3z))
-    lhs = coh.mean_photons + 0.5 * (rho[0, 0].real - rho[1, 1].real)
+    offset, dispersion = _spectrum(s1z, s2z, s3z)
+    lhs = _conserved(coh.mean_photons, rho[0, 0].real - rho[1, 1].real)
     out = {
         "abs_quasi_a": np.abs(quasi_a),
         "quasi_a_re": quasi_a.real,
@@ -186,7 +209,7 @@ def _closed_channels(scenario: Scenario):
         "sigma_z_dispersion": dispersion,
         "sigma_z_upper": offset + dispersion,
         "sigma_z_lower": offset - dispersion,
-        "conservation_residual": np.abs(quasi_n + 0.5 * sigma_mean - lhs),
+        "conservation_residual": np.abs(_conserved(quasi_n, sigma_mean) - lhs),
         "qpl_ratio": qpl_cd / np.maximum(qpl_abs_a, 1e-300),
         "qpl_deviation": qpl_dev,
     }
@@ -303,7 +326,7 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
         "oracle_sigma_z_offset": 0.5 * (upper + lower),
         "oracle_sigma_z_upper": upper,
         "oracle_sigma_z_lower": lower,
-        "oracle_conservation_residual": np.abs(quasi_n + 0.5 * mean_z - lhs),
+        "oracle_conservation_residual": np.abs(_conserved(quasi_n, mean_z) - lhs),
     }
 
 
@@ -362,17 +385,12 @@ _SPECTRUM_TOL = 1e-10
 
 
 def sigma_z_spectrum(eff: subdyn.EffectiveOperator) -> SigmaZSpectrum:
-    """Spectrum of a 2x2 dressed inversion operator.
-
-    Uses the entrywise closed form offset = (m00 + m11)/2 and
-    dispersion = sqrt(((m00 - m11)/2)² + |m01|²), cross-checked against the
-    direct eigendecomposition within ``_SPECTRUM_TOL``.
-    """
+    """Spectrum of a 2x2 dressed inversion operator: the channels' closed form on its
+    entries, cross-checked against the eigendecomposition within ``_SPECTRUM_TOL``."""
     m = eff.matrix
     if m.shape != (2, 2):
         raise ValueError(f"2x2 operator required, got {m.shape}")
-    offset = 0.5 * (m[0, 0] + m[1, 1]).real
-    dispersion = math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
+    offset, dispersion = _spectrum(m[0, 0].real, m[1, 1].real, m[0, 1])
     evals = np.linalg.eigvalsh(m)
     defect = max(abs(offset - dispersion - evals[0]), abs(offset + dispersion - evals[1]))
     if defect > _SPECTRUM_TOL:
@@ -408,9 +426,8 @@ def conservation_audit(series: TimeSeries, atom_init: np.ndarray,
     for name in ("quasi_n", "sigma_z_mean"):
         if name not in series.channels:
             raise ValueError(f"series lacks required channel {name!r}")
-    lhs = mean_photons + 0.5 * (atom_init[0, 0].real - atom_init[1, 1].real)
-    rhs = series.channel("quasi_n") + 0.5 * series.channel("sigma_z_mean")
-    residuals = np.abs(rhs - lhs)
+    lhs = _conserved(mean_photons, atom_init[0, 0].real - atom_init[1, 1].real)
+    residuals = np.abs(_conserved(series.channel("quasi_n"), series.channel("sigma_z_mean")) - lhs)
     return ConservationAudit(lhs, float(residuals.max()), residuals)
 
 

@@ -33,8 +33,8 @@ import functools
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 
 import numpy as np
 
@@ -244,14 +244,14 @@ def _atomic_write(path: str, chunks) -> None:
         try:  # the mode open(path, "w") gives: the file's own, or 0o666 less the umask
             mode = os.stat(path).st_mode & 0o7777
         except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcsubdyn-", suffix=".tmp")
+            mode = None  # os.open's 0o666, less the umask, which the kernel applies
+        tmp = os.path.join(directory, f".jcsubdyn-{secrets.token_hex(8)}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
-            os.chmod(tmp, mode)
+            if mode is not None:
+                os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             try:

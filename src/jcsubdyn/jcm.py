@@ -105,12 +105,9 @@ class JcmParams:
         if self.g < 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
         FockSpace(self.n_max)  # an integer >= 1
-        # lam_n² of the top sector, as _kernels.corr_tables sums it
-        kappa = self.g * math.sqrt(self.n_max + 1.0)
-        lam2 = self.half_detuning * self.half_detuning + kappa * kappa
-        if not math.isfinite(lam2):
+        if not math.isfinite(lam := self.sector_rate(self.n_max)):
             raise ValueError(f"half_detuning² + g²(n_max + 1), the top sector rate squared, "
-                             f"must be finite, got {lam2!r}")
+                             f"must be finite, got {lam!r}")
 
     @property
     def detuning(self) -> float:
@@ -125,8 +122,8 @@ class JcmParams:
         return FockSpace(self.n_max)
 
     def sector_rate(self, n: int) -> float:
-        """lam_n, the generalized exchange rate of sector n (n >= -1)."""
-        return math.hypot(self.half_detuning, self.g * math.sqrt(n + 1.0))
+        """lam_n, the exchange rate of sector n >= -1: column n + 1 of the tables, bit for bit."""
+        return float(_kernels.sector_rate(self.half_detuning, self.g * math.sqrt(n + 1.0)))
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,25 @@ class TestObservableSeries:
             Scenario(params=params, atom_init=EXCITED, grid=(0.0, 5e4 * params.g, 2))
         Scenario(params=params, atom_init=EXCITED, grid=(0.0, 4e4 * params.g, 2))
 
+    @pytest.mark.parametrize("n_max, channels, oracle, per_step, limit, needle", [
+        # steps x (n_max + 2) table cells
+        (3000, analysis.DEFAULT_CHANNELS, False, 3002, analysis.MAX_TABLE_CELLS, "tables hold"),
+        # steps x (12 channels + gt), then x (12 + 7 oracle twins + gt) output values
+        (1, analysis.DEFAULT_CHANNELS, False, 13, analysis.MAX_OUTPUT_VALUES, "output holds"),
+        (1, analysis.DEFAULT_CHANNELS, True, 20, analysis.MAX_OUTPUT_VALUES, "output holds"),
+        (1, ("quasi_n", "qpl_ratio"), True, 4, analysis.MAX_OUTPUT_VALUES, "output holds"),
+    ])
+    def test_work_budgets_refuse_one_step_past_them(self, n_max, channels, oracle, per_step,
+                                                    limit, needle):
+        # built, never run: just under the budget the scenario is accepted
+        steps = int(limit // per_step)
+        sc = dict(params=JcmParams(1.0, 0.8, 0.02, n_max), atom_init=EXCITED, magnitude=1.0,
+                  channels=channels, oracle=oracle)
+        Scenario(grid=(0.0, 50.0, steps), **sc)
+        with pytest.raises(ValueError, match=needle) as err:
+            Scenario(grid=(0.0, 50.0, steps + 1), **sc)
+        assert "\n" not in str(err.value)
+
     @pytest.mark.parametrize("gt, refused", [(5e4, True), (2e4, False)])
     def test_oracle_phase_budget_counts_the_hamiltonian_norm(self, gt, refused):
         # ‖H‖ ≈ omega (n_max + 1) = 87: at gt 5e4 (‖H‖ t = 4.4e9, under MAX_PHASE) the

@@ -245,6 +245,21 @@ class TestInputHardening:
         assert proc.stderr.count("\n") == 1
         assert float(proc.stdout) < 1.0
 
+    def test_closed_path_over_table_budget_exits_2_within_a_second(self, tmp_path):
+        # 6e8 table cells: without the budget this run takes about 20 s
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        timed = ("import sys, time; from jcsubdyn import cli; t0 = time.perf_counter(); "
+                 "code = cli.main(sys.argv[1:]); print(time.perf_counter() - t0); sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", timed, "--n-max", "3000", "--grid", "0", "50", "200000"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: the closed path's tables hold")
+        assert proc.stderr.count("\n") == 1
+        assert float(proc.stdout) < 1.0
+        assert os.listdir(tmp_path) == []
+
     def test_library_params_must_be_finite(self):
         from jcsubdyn.jcm import JcmParams
 
@@ -359,16 +374,25 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == []
 
     @pytest.fixture
-    def umask_027(self):
-        old = os.umask(0o027)
+    def umask_027(self, monkeypatch):
+        set_umask = os.umask
+        old = set_umask(0o027)
+
+        # the writer must not set the umask to read it: another thread's
+        # files would get none in between, so os.umask raises here
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
         yield
-        os.umask(old)
+        set_umask(old)
 
     def test_new_file_gets_open_mode(self, tmp_path, umask_027):
         # the mode open(path, "w") gives: 0o666 less the umask, not mkstemp's 0o600
         out = tmp_path / "x.csv"
         assert cli.main(["--grid", "0", "1", "3", "--output", str(out)]) == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["x.csv"]
 
     def test_existing_file_keeps_its_mode(self, tmp_path, umask_027):
         out = tmp_path / "x.csv"

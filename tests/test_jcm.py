@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ class TestCorrelationFactors:
         p = JcmParams(1.0, 0.3, 0.04, 10)
         for n in range(-1, 10):
             assert p.sector_rate(n) >= abs(p.detuning) / 2
+
+    def test_sector_rate_is_the_table_rate_bitwise(self, rng):
+        # the rate the phase budget reads is column n + 1 of the tables, not a
+        # hypot of the same inputs (which differs in the last bit)
+        draws = np.rint(np.exp(rng.uniform(0.0, math.log(330.0), 21)))  # log-uniform n_max
+        for k, n_max in enumerate((1, 2, 330, *draws)):
+            half = (0.0, -0.0, rng.uniform(0.0, 3.0), -(10.0 ** rng.uniform(-6, 3)))[k % 4]
+            g = 0.0 if k % 3 == 0 else 10.0 ** rng.uniform(-5, 1)
+            omega = 10.0 ** rng.uniform(-3, 3)
+            p = JcmParams(omega, omega - 2.0 * half, g, int(n_max))
+            # omega - omega0 is never -0.0, so the drawn half-detuning also goes in alone
+            for owner in (p, SimpleNamespace(half_detuning=half, g=g)):
+                got = np.array([JcmParams.sector_rate(owner, n) for n in range(-1, p.n_max + 1)])
+                table = _kernels._sector_rates(owner.half_detuning, g, p.n_max + 2)[0]
+                np.testing.assert_array_equal(got.view(np.uint64), table.view(np.uint64),
+                                              err_msg=repr(owner))
 
     @pytest.mark.parametrize("omega0, g", [(0.8, 0.07), (1.2, 0.07), (1.0, 0.07),
                                            (0.8, 0.0), (1.0, 0.0)])
