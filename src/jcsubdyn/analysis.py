@@ -154,8 +154,7 @@ class Scenario:
         return np.linspace(start, stop, steps)
 
     def times(self) -> np.ndarray:
-        gts = self.gt_values()
-        return gts / self.params.g if self.params.g > 0 else gts
+        return _times(self.params, self.gt_values())
 
     def coherent(self) -> hilbert.CoherentState:
         return hilbert.coherent_state(self.magnitude, self.phase, self.params.space)
@@ -176,6 +175,11 @@ class TimeSeries:
         return self.channels[name]
 
 
+def _times(p: jcm.JcmParams, gts: np.ndarray) -> np.ndarray:
+    """Times of the grid values ``gts``: gt / g, or the values themselves at g = 0."""
+    return gts / p.g if p.g > 0 else gts
+
+
 def _spectrum(s1, s2, s3):
     """(offset, dispersion) of [[s1, s3], [conj(s3), s2]]: eigenvalues offset ± dispersion."""
     return 0.5 * (s1 + s2), np.hypot(0.5 * (s1 - s2), np.abs(s3))
@@ -186,20 +190,24 @@ def _conserved(mean_n, mean_z):
     return mean_n + 0.5 * mean_z
 
 
-def _closed_channels(scenario: Scenario):
+#: Grid points per closed-path pass: a whole number of ``T_BLOCK`` rows.  The block and
+#: lone-row heights of ``_kernels.channel_sums`` divide ``T_BLOCK``, so each pass's
+#: blocks fall where a whole-grid call puts them.
+_PASS_POINTS = 128 * _kernels.T_BLOCK
+
+
+def _closed_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float, gts: np.ndarray):
+    """Every closed-form channel over the grid values ``gts``."""
     p = scenario.params
-    coh = scenario.coherent()
     both = hilbert.poisson_weights(coh.mean_photons, p.n_max + 1)  # p(n) and p(n+1)
     rho = scenario.atom_init
-    ts = scenario.times()
     s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a = _kernels.channel_sums(
-        ts, p.n_max, p.half_detuning, p.g, p.omega, both[:-1], both[1:],
+        _times(p, gts), p.n_max, p.half_detuning, p.g, p.omega, both[:-1], both[1:],
         coh.alpha, rho[0, 0].real, rho[1, 1].real, complex(rho[0, 1]))
     sigma_mean = (rho[0, 0].real * s1z + rho[1, 1].real * s2z
                   + 2.0 * (rho[1, 0] * s3z).real)
     offset, dispersion = _spectrum(s1z, s2z, s3z)
-    lhs = _conserved(coh.mean_photons, rho[0, 0].real - rho[1, 1].real)
-    out = {
+    return {
         "abs_quasi_a": np.abs(quasi_a),
         "quasi_a_re": quasi_a.real,
         "quasi_a_im": quasi_a.imag,
@@ -213,7 +221,6 @@ def _closed_channels(scenario: Scenario):
         "qpl_ratio": qpl_cd / np.maximum(qpl_abs_a, 1e-300),
         "qpl_deviation": qpl_dev,
     }
-    return out, coh, lhs
 
 
 #: Per-point state check of the oracle: max gap of the evolved norms from
@@ -259,8 +266,8 @@ def _photon_bands(dim: int):
                        lambda x: n[:, None] * x)
 
 
-def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float):
-    """Brute-force versions of the closed-form channels, from two evolved states.
+def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float, gts: np.ndarray):
+    """Brute-force versions of the closed-form channels over ``gts``, from two evolved states.
 
     The composite start is sum_{ss'} rho_ss' |alpha, s><alpha, s'|, so every
     channel is an expectation value in psi_s(t) = U(t)|alpha, s>.  The
@@ -285,8 +292,7 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
     for s in (hilbert.UP, hilbert.DOWN):
         kets[s, s::hilbert.ATOM_DIM] = amps  # |alpha, s>
     norm0 = float(np.vdot(amps, amps).real)
-    ts = scenario.times()
-    gts = scenario.gt_values()
+    ts = _times(p, gts)
     values = np.empty((5, len(ts)))
     for lo in range(0, len(ts), _kernels.T_BLOCK):
         block = slice(lo, lo + _kernels.T_BLOCK)
@@ -333,22 +339,36 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float)
 def observable_series(scenario: Scenario, tail_tol: float = hilbert.DEFAULT_TAIL_TOL) -> TimeSeries:
     """Evaluate the requested channels over the scenario's gt grid.
 
-    Closed forms always; brute-force twins as ``oracle_*`` channels when the
-    scenario asks for them.  Metadata records the coherent tail mass (and
+    Closed forms always, ``_PASS_POINTS`` grid points at a time, kept only for the
+    requested channels and the oracle's; brute-force twins as ``oracle_*`` channels
+    when the scenario asks for them.  Metadata records the coherent tail mass (and
     flags it when it violates ``tail_tol``), the kernel lane, and, with the
     oracle on, the worst closed-vs-oracle deviation per channel.
     """
-    closed, coh, lhs = _closed_channels(scenario)
+    gts, coh, rho = scenario.gt_values(), scenario.coherent(), scenario.atom_init
+    lhs = _conserved(coh.mean_photons, rho[0, 0].real - rho[1, 1].real)
+    keep = set(scenario.channels) | set(ORACLE_CHANNELS if scenario.oracle else ())
+    worst = []
+    for lo in range(0, len(gts), _PASS_POINTS):  # at least once: a grid has 2 steps or more
+        out = _closed_channels(scenario, coh, lhs, gts[lo:lo + _PASS_POINTS])
+        # the outputs come after the first pass's sums: allocated before them, they
+        # slowed the `sweep` benchmark by about 10 % in 10 of 10 pairs
+        if lo == 0:
+            closed = {name: np.empty(len(gts)) for name in keep}
+        worst.append(out["conservation_residual"].max())
+        for name in keep:
+            closed[name][lo:lo + _PASS_POINTS] = out[name]
+        del out  # the next pass's sums take its place
     channels = {name: closed[name] for name in scenario.channels}
     metadata = {
         "tail_mass": coh.tail_mass,
         "tail_ok": bool(coh.tail_mass < tail_tol),
         "kernel_lane": _kernels.active_lane(),
         "conservation_lhs": lhs,
-        "conservation_residual_max": float(closed["conservation_residual"].max()),
+        "conservation_residual_max": float(np.max(worst)),  # np.max, unlike max, keeps a NaN
     }
     if scenario.oracle:
-        oracle = _oracle_channels(scenario, coh, lhs)
+        oracle = _oracle_channels(scenario, coh, lhs, gts)
         channels.update({f"oracle_{n}": oracle[f"oracle_{n}"] for n in scenario.channels
                          if n in ORACLE_CHANNELS})
         deviations = {
@@ -357,7 +377,7 @@ def observable_series(scenario: Scenario, tail_tol: float = hilbert.DEFAULT_TAIL
         }
         metadata["oracle_deviation"] = deviations
         metadata["oracle_deviation_max"] = max(deviations.values())
-    return TimeSeries(scenario, scenario.gt_values(), channels, metadata)
+    return TimeSeries(scenario, gts, channels, metadata)
 
 
 # --- dressed-inversion spectrum ------------------------------------------------
@@ -570,7 +590,7 @@ def collapse_revival_features(series: TimeSeries,
     p = series.scenario.params
     mean_n = series.scenario.magnitude ** 2
     ratio = (p.half_detuning / p.g) if p.g > 0 else 0.0
-    window_gt = math.pi / math.sqrt(ratio * ratio + mean_n + 1.0)
+    window_gt = float(math.pi / _kernels.sector_rate(ratio, math.sqrt(mean_n + 1.0)))  # pi g / lam
     dgt = gt[1] - gt[0]
     half = max(1, int(round(0.5 * window_gt / dgt)))
     if 2 * half + 1 >= len(gt):

@@ -263,11 +263,11 @@ def _atomic_write(path: str, chunks) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_chunks(head: str, table: np.ndarray):
-    """``head``, then the table as ``'%.17g'`` CSV text, ``CSV_CHUNK_ROWS`` rows per string."""
+def _csv_chunks(head: str, columns):
+    """``head``, then the columns as ``'%.17g'`` CSV text, ``CSV_CHUNK_ROWS`` rows a string."""
     yield head
-    for start in range(0, len(table), CSV_CHUNK_ROWS):
-        yield format_rows(table[start:start + CSV_CHUNK_ROWS])
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        yield format_rows(np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in columns]))
 
 
 def _require_finite(fmt: str, columns) -> None:
@@ -277,15 +277,30 @@ def _require_finite(fmt: str, columns) -> None:
             raise ValueError(f"{fmt} output needs finite values; {name} is not finite")
 
 
-def _json_array(values, pad: str) -> str:
-    """A float array as json.dumps(indent=2) writes it ``pad`` deep: ``repr`` per value."""
-    text = f",\n{pad}  ".join(map(float.__repr__, np.asarray(values, dtype=np.float64).tolist()))
-    return f"[\n{pad}  {text}\n{pad}]" if text else "[]"
+def _json_array(values, pad: str):
+    """A float array as json.dumps(indent=2) writes it ``pad`` deep, CSV_CHUNK_ROWS a piece."""
+    values, sep = np.asarray(values, dtype=np.float64), f",\n{pad}  "
+    for start in range(0, len(values), CSV_CHUNK_ROWS):
+        text = sep.join(map(float.__repr__, values[start:start + CSV_CHUNK_ROWS].tolist()))
+        yield (sep if start else f"[\n{pad}  ") + text
+    yield f"\n{pad}]" if len(values) else "[]"
 
 
 def _json_nested(obj) -> str:
     """A small object as json.dumps(indent=2) writes it one level deep."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+
+def _json_chunks(series: analysis.TimeSeries, names, meta: dict, echo: dict):
+    """The text of json.dumps(doc, sort_keys=True, indent=2) + "\n", keys in its order."""
+    yield '{\n  "channels": {'
+    for k, name in enumerate(names):
+        yield f'{"," if k else ""}\n    {json.dumps(name)}: '
+        yield from _json_array(series.channels[name], "    ")
+    yield ("\n  }" if names else "}") + ',\n  "gt": '
+    yield from _json_array(series.gt, "  ")
+    yield ',\n  "metadata": ' + _json_nested(meta)
+    yield ',\n  "scenario": ' + _json_nested(echo) + "\n}\n"
 
 
 def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) -> None:
@@ -300,16 +315,11 @@ def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) ->
             "gt," + ",".join(names),
         ]
         _require_finite("CSV", [("gt", series.gt)] + [(n, series.channels[n]) for n in names])
-        table = np.column_stack([series.gt] + [series.channels[n] for n in names])
-        _atomic_write(path, _csv_chunks("".join(line + "\n" for line in head), table))
-    elif fmt == "json":  # json.dumps(doc, sort_keys=True, indent=2) + "\n", keys in its order
+        columns = [series.gt] + [series.channels[n] for n in names]
+        _atomic_write(path, _csv_chunks("".join(line + "\n" for line in head), columns))
+    elif fmt == "json":
         _require_finite("JSON", [(n, series.channels[n]) for n in names] + [("gt", series.gt)])
-        channels = ",\n".join(f"    {json.dumps(n)}: {_json_array(series.channels[n], '    ')}"
-                               for n in names)
-        _atomic_write(path, ['{\n  "channels": ' + ("{\n" + channels + "\n  }" if names else "{}"),
-                             ',\n  "gt": ' + _json_array(series.gt, "  "),
-                             ',\n  "metadata": ' + _json_nested(meta),
-                             ',\n  "scenario": ' + _json_nested(echo) + "\n}\n"])
+        _atomic_write(path, _json_chunks(series, names, meta, echo))
     else:
         raise OutputError(f"unknown output format {fmt!r}")
 

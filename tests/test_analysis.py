@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestSchrodingerOracle:
         coh = scenario.coherent()
         lhs = coh.mean_photons + 0.5 * (scenario.atom_init[0, 0].real
                                         - scenario.atom_init[1, 1].real)
-        return analysis._oracle_channels(scenario, coh, lhs)
+        return analysis._oracle_channels(scenario, coh, lhs, scenario.gt_values())
 
     @pytest.mark.parametrize("rho", [EXCITED, MIXED], ids=["pure", "mixed"])
     def test_matches_heisenberg_loop(self, monkeypatch, rho):
@@ -314,6 +315,65 @@ class TestSchrodingerOracle:
         monkeypatch.setattr(analysis, "_state_channels", perturbed)
         with pytest.raises(subdyn.CrossCheckError, match="Heisenberg routes"):
             self._run(sc)
+
+
+#: (n_max, grid steps): at n_max 8 blocks and lone rows are 512 rows and 4097 points
+#: end in a lone row; at n_max 40 they are 512 and 256 rows, and 1100 points end in a
+#: partial pass of 76 points
+PASS_GRIDS = [(8, 4097), (40, 1100)]
+
+
+def _pass_scenario(n_max, steps, **kw):
+    return Scenario(params=JcmParams(1.0, 0.8, 0.02, n_max), atom_init=MIXED,
+                    magnitude=1.0 if n_max < 20 else ROOT10, grid=(0.0, 60.0, steps), **kw)
+
+
+@pytest.fixture(scope="module")
+def one_pass_series():
+    """grid -> the one-pass series of every channel, with the oracle on."""
+    return {grid: observable_series(_pass_scenario(*grid, oracle=True)) for grid in PASS_GRIDS}
+
+
+class TestGridPasses:
+    """The closed path evaluates the grid one pass at a time and keeps what was asked for."""
+
+    @pytest.mark.parametrize("n_max, steps", PASS_GRIDS)
+    @pytest.mark.parametrize("points", [512, 1024, 4096])
+    def test_passes_and_channel_subsets_move_no_byte(self, monkeypatch, one_pass_series,
+                                                     n_max, steps, points):
+        # the block and lone-row heights of channel_sums divide T_BLOCK
+        assert analysis._PASS_POINTS % analysis._kernels.T_BLOCK == 0
+        whole = one_pass_series[n_max, steps]
+        monkeypatch.setattr(analysis, "_PASS_POINTS", points)
+        rng = np.random.default_rng([n_max, points])
+        for oracle in (False, True):
+            k = rng.integers(1, len(analysis.DEFAULT_CHANNELS) + 1)
+            names = tuple(rng.permutation(analysis.DEFAULT_CHANNELS)[:k].tolist())
+            got = observable_series(_pass_scenario(n_max, steps, channels=names, oracle=oracle))
+            want_names = names + tuple(f"oracle_{n}" for n in names
+                                       if oracle and n in analysis.ORACLE_CHANNELS)
+            assert list(got.channels) == list(want_names)
+            for name in want_names:
+                assert got.channel(name).tobytes() == whole.channel(name).tobytes(), name
+            for key in ("conservation_residual_max",) + ("oracle_deviation",) * oracle:
+                assert repr(got.metadata[key]) == repr(whole.metadata[key]), key
+
+    def test_memory_is_the_outputs_plus_one_pass(self, monkeypatch):
+        """40 passes of 1024 points at n_max 8, one channel: the series keeps 16 B a point
+        (gt and quasi_n, 0.66 MB) and one pass of sums and channels, with the block
+        workers' workspaces, takes about 1.2 MB; every channel and sum of the grid
+        kept at once would peak at about 6.6 MB."""
+        monkeypatch.setattr(analysis, "_PASS_POINTS", 1024)
+        steps = 40 * 1024
+        sc = _pass_scenario(8, steps, channels=("quasi_n",))
+        tracemalloc.start()
+        try:
+            series = observable_series(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series.channel("quasi_n")) == steps
+        assert peak < 2 * 8 * steps + 2e6, f"peak traced allocation {peak / 1e6:.2f} MB"
 
 
 class TestConservationAudit:

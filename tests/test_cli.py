@@ -7,6 +7,7 @@ import resource
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,6 +506,46 @@ class TestCsvText:
         for text in texts:
             assert text_mismatch(text[-len(want):], want) is None
         assert len({text[:-len(want)] for text in texts}) == 1
+
+
+class TestStreamedWriters:
+    """Both writers stream: each string handed to the file holds a few rows."""
+
+    @pytest.mark.parametrize("fmt, points", [("csv", 25_000), ("json", 10_000)])
+    def test_writer_allocates_a_few_rows_for_a_long_series(self, tmp_path, fmt, points):
+        """gt and three channels: at 25k points the whole CSV table alone is 0.8 MB,
+        and at 10k points the JSON text of the channels 0.75 MB."""
+        from jcsubdyn.jcm import JcmParams
+
+        scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
+                                     atom_init=np.diag([1.0, 0.0]).astype(complex))
+        gt = np.linspace(0.0, 50.0, points)
+        series = analysis.TimeSeries(scenario, gt, {"quasi_n": np.cos(gt) + 10.0,
+                                                    "sigma_z_mean": np.sin(gt),
+                                                    "qpl_ratio": gt * 1e-3}, {})
+        tracemalloc.start()
+        try:
+            cli.emit_output(series, fmt, str(tmp_path / f"long.{fmt}"), {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4e6, f"peak traced allocation {peak / 1e6:.2f} MB"
+
+    def test_passes_and_chunks_move_no_byte(self, tmp_path, monkeypatch):
+        """1537 points at n_max 45 end in a lone row: in passes of 512 points and
+        strings of 7 rows both files hold the bytes of one pass and 256 rows."""
+        argv = ["--n-max", "45", "--alpha-mag", str(ROOT10), "--omega0", "0.8", "--g", "0.02",
+                "--atom-uu", "0.6", "--atom-ud-re", "-0.3", "--atom-ud-im", "0.35",
+                "--atom-dd", "0.4", "--grid", "0", "60", "1537"]
+        monkeypatch.chdir(tmp_path)
+        files = {}
+        for points, rows in ((analysis._PASS_POINTS, cli.CSV_CHUNK_ROWS), (512, 7)):
+            monkeypatch.setattr(analysis, "_PASS_POINTS", points)
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+            for fmt in ("csv", "json"):
+                assert cli.main(argv + ["--format", fmt, "--output", f"run.{fmt}"]) == 0
+                files.setdefault(fmt, []).append((tmp_path / f"run.{fmt}").read_bytes())
+        assert all(one == many for one, many in files.values())
 
 
 #: Output file name -> (CLI flags, SHA-256 of the file as one json.dumps of the
