@@ -69,9 +69,9 @@ ORACLE_CHANNELS = (
 #: so no channel keeps even that many digits beyond it.  About 4.5e9.
 MAX_PHASE = 1e-6 / np.finfo(np.float64).eps
 #: Largest dense work d³ + 2 d² steps (d = 2 (n_max + 1)) an oracle scenario may
-#: ask for: one eigendecomposition, then two kets evolved over every step.
-#: n_max 327 at 2000 points is 2.0e9 and takes about 1.6 s; at n_max 3000 one
-#: dense matrix alone holds 576 MB.
+#: ask for: an eigendecomposition a pass (under 1 % of it at two passes or more,
+#: where d <= 174), then two kets evolved over every step.  n_max 327 at 2000 points
+#: is 2.0e9 and takes about 1.6 s; at n_max 3000 one dense matrix holds 576 MB.
 MAX_ORACLE_WORK = 4e9
 #: An oracle's ‖H‖ t, ‖H‖ <= omega (n_max + 1) + |omega0| + g sqrt(n_max + 1), may reach
 #: MAX_PHASE / this: its channels drift by up to 1.5 eps ‖H‖ t (130 draws up to 4e9).
@@ -226,7 +226,7 @@ def _closed_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
 #: Per-point state check of the oracle: max gap of the evolved norms from
 #: their t = 0 value and of the up/down overlap from 0.
 _STATE_TOL = 1e-10
-#: Grid indices at which the oracle also runs both Heisenberg routes: both ends.
+#: Indices at which the oracle also runs both Heisenberg routes: both ends of a pass.
 _HEISENBERG_POINTS = (0, -1)
 
 
@@ -270,10 +270,10 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
     """Brute-force versions of the closed-form channels over ``gts``, from two evolved states.
 
     The composite start is sum_{ss'} rho_ss' |alpha, s><alpha, s'|, so every
-    channel is an expectation value in psi_s(t) = U(t)|alpha, s>.  The
-    scenario's one eigendecomposition, checked once, evolves both states a
-    block of ``_kernels.T_BLOCK`` points at a time.  At every point their
-    norms and overlap are checked (``_STATE_TOL``); at ``_HEISENBERG_POINTS``
+    channel is an expectation value in psi_s(t) = U(t)|alpha, s>.  One
+    eigendecomposition per call, checked once, evolves both states a block
+    of ``_kernels.T_BLOCK`` points at a time.  At every point their norms and
+    overlap are checked (``_STATE_TOL``); at ``_HEISENBERG_POINTS`` of ``gts``
     both effective-operator routes run as well and their channel values must
     match (``subdyn.ROUTE_TOL``, the gap the two routes keep between them).
     """
@@ -339,44 +339,42 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
 def observable_series(scenario: Scenario, tail_tol: float = hilbert.DEFAULT_TAIL_TOL) -> TimeSeries:
     """Evaluate the requested channels over the scenario's gt grid.
 
-    Closed forms always, ``_PASS_POINTS`` grid points at a time, kept only for the
-    requested channels and the oracle's; brute-force twins as ``oracle_*`` channels
-    when the scenario asks for them.  Metadata records the coherent tail mass (and
-    flags it when it violates ``tail_tol``), the kernel lane, and, with the
-    oracle on, the worst closed-vs-oracle deviation per channel.
+    Closed forms always and brute-force ``oracle_*`` twins when the scenario asks for
+    them, ``_PASS_POINTS`` grid points at a time (the oracle set up and checked at both
+    ends each pass), kept only for the requested channels.  Metadata records the
+    coherent tail mass (and flags it when it violates ``tail_tol``), the kernel lane,
+    and, with the oracle on, the worst closed-vs-oracle deviation per channel.
     """
     gts, coh, rho = scenario.gt_values(), scenario.coherent(), scenario.atom_init
     lhs = _conserved(coh.mean_photons, rho[0, 0].real - rho[1, 1].real)
-    keep = set(scenario.channels) | set(ORACLE_CHANNELS if scenario.oracle else ())
-    worst = []
+    names = list(scenario.channels) + [f"oracle_{n}" for n in scenario.channels
+                                       if scenario.oracle and n in ORACLE_CHANNELS]
+    worst = []  # a row a pass: its largest residual, then its |closed - oracle| a twin
     for lo in range(0, len(gts), _PASS_POINTS):  # at least once: a grid has 2 steps or more
-        out = _closed_channels(scenario, coh, lhs, gts[lo:lo + _PASS_POINTS])
+        block = gts[lo:lo + _PASS_POINTS]
+        out = _closed_channels(scenario, coh, lhs, block)
+        worst.append([out["conservation_residual"].max()])
+        if scenario.oracle:
+            out.update(_oracle_channels(scenario, coh, lhs, block))
+            worst[-1] += [np.abs(out[n] - out[f"oracle_{n}"]).max() for n in ORACLE_CHANNELS]
         # the outputs come after the first pass's sums: allocated before them, they
         # slowed the `sweep` benchmark by about 10 % in 10 of 10 pairs
         if lo == 0:
-            closed = {name: np.empty(len(gts)) for name in keep}
-        worst.append(out["conservation_residual"].max())
-        for name in keep:
-            closed[name][lo:lo + _PASS_POINTS] = out[name]
+            channels = {name: np.empty(len(gts)) for name in names}
+        for name in names:
+            channels[name][lo:lo + _PASS_POINTS] = out[name]
         del out  # the next pass's sums take its place
-    channels = {name: closed[name] for name in scenario.channels}
+    worst = np.max(worst, axis=0).tolist()  # np.max, unlike max, keeps a NaN
     metadata = {
         "tail_mass": coh.tail_mass,
         "tail_ok": bool(coh.tail_mass < tail_tol),
         "kernel_lane": _kernels.active_lane(),
         "conservation_lhs": lhs,
-        "conservation_residual_max": float(np.max(worst)),  # np.max, unlike max, keeps a NaN
+        "conservation_residual_max": worst[0],
     }
     if scenario.oracle:
-        oracle = _oracle_channels(scenario, coh, lhs, gts)
-        channels.update({f"oracle_{n}": oracle[f"oracle_{n}"] for n in scenario.channels
-                         if n in ORACLE_CHANNELS})
-        deviations = {
-            name: float(np.max(np.abs(closed[name] - oracle[f"oracle_{name}"])))
-            for name in ORACLE_CHANNELS
-        }
-        metadata["oracle_deviation"] = deviations
-        metadata["oracle_deviation_max"] = max(deviations.values())
+        metadata["oracle_deviation"] = dict(zip(ORACLE_CHANNELS, worst[1:]))
+        metadata["oracle_deviation_max"] = max(worst[1:])
     return TimeSeries(scenario, gts, channels, metadata)
 
 

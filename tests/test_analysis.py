@@ -58,6 +58,15 @@ class TestSigmaZSpectrum:
         assert abs(spec.upper - evals[1]) < 1e-10
         assert spec.dispersion >= 0.0
 
+    def test_disagreeing_eigendecomposition_raises(self, monkeypatch):
+        p = JcmParams(1.0, 0.8, 0.02, 60)
+        eff = jcm.quasi_sigma_z(9.5 / p.g, coherent_state(ROOT10, 0.0, p.space), p)
+        sigma_z_spectrum(eff)  # the intact eigenvalues agree
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) + 2e-10)
+        with pytest.raises(subdyn.CrossCheckError, match="spectrum formulas disagree"):
+            sigma_z_spectrum(eff)
+
     def test_non_2x2_rejected(self):
         eff = subdyn.EffectiveOperator("photon", 0.0, np.eye(3, dtype=complex), EXCITED)
         with pytest.raises(ValueError):
@@ -359,21 +368,46 @@ class TestGridPasses:
                 assert repr(got.metadata[key]) == repr(whole.metadata[key]), key
 
     def test_memory_is_the_outputs_plus_one_pass(self, monkeypatch):
-        """40 passes of 1024 points at n_max 8, one channel: the series keeps 16 B a point
-        (gt and quasi_n, 0.66 MB) and one pass of sums and channels, with the block
-        workers' workspaces, takes about 1.2 MB; every channel and sum of the grid
-        kept at once would peak at about 6.6 MB."""
+        """40 passes of 1024 points at n_max 8, one channel: the series keeps 8 B a point
+        for gt, quasi_n and, with the oracle on, oracle_quasi_n (0.66 or 0.98 MB), and one
+        pass of sums, channels and oracle states, with the block workers' workspaces, takes
+        about 1.1 MB closed and 1.3 MB with the oracle; every channel and sum of the grid
+        kept at once would peak at about 6.6 MB, and the oracle's channels over the whole
+        grid at about 5.7 MB."""
         monkeypatch.setattr(analysis, "_PASS_POINTS", 1024)
         steps = 40 * 1024
-        sc = _pass_scenario(8, steps, channels=("quasi_n",))
-        tracemalloc.start()
-        try:
-            series = observable_series(sc)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(series.channel("quasi_n")) == steps
-        assert peak < 2 * 8 * steps + 2e6, f"peak traced allocation {peak / 1e6:.2f} MB"
+        for oracle in (False, True):
+            sc = _pass_scenario(8, steps, channels=("quasi_n",), oracle=oracle)
+            tracemalloc.start()
+            try:
+                series = observable_series(sc)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert list(series.channels) == ["quasi_n"] + ["oracle_quasi_n"] * oracle
+            assert len(series.channel("quasi_n")) == steps
+            outputs = (2 + oracle) * 8 * steps
+            assert peak < outputs + 2e6, f"oracle {oracle}: peak traced {peak / 1e6:.2f} MB"
+
+    def test_each_pass_checks_its_ends(self, monkeypatch):
+        """Two passes of 512 points: the last point of the first pass is a pass end,
+        so a state value off there by less than the cross-check tolerance is caught."""
+        state_channels = analysis._state_channels
+        calls = []
+
+        def perturbed(*args):
+            values, gram = state_channels(*args)
+            if not calls:  # the first block of 512 points: the first pass
+                values[1, -1] += 1e-7  # quasi_n, below cli.CROSSCHECK_TOL
+            calls.append(len(values[1]))
+            return values, gram
+
+        monkeypatch.setattr(analysis, "_PASS_POINTS", 512)
+        sc = _pass_scenario(8, 1024, channels=("quasi_n",), oracle=True)
+        monkeypatch.setattr(analysis, "_state_channels", perturbed)
+        with pytest.raises(subdyn.CrossCheckError, match="Heisenberg routes"):
+            observable_series(sc)
+        assert calls == [512]
 
 
 class TestConservationAudit:

@@ -374,6 +374,20 @@ class TestAtomicWrite:
             cli._atomic_write(str(tmp_path / "out.csv"), ["line\n"])
         assert os.listdir(tmp_path) == []
 
+    def test_failed_cleanup_keeps_the_rename_error(self, tmp_path, monkeypatch):
+        def fail_replace(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        def fail_unlink(path):
+            raise OSError(16, "Device or resource busy")
+
+        monkeypatch.setattr(cli.os, "replace", fail_replace)
+        monkeypatch.setattr(cli.os, "unlink", fail_unlink)
+        with pytest.raises(cli.OutputError, match="cannot write .*Permission denied") as err:
+            cli._atomic_write(str(tmp_path / "out.csv"), ["line\n"])
+        assert "busy" not in str(err.value)
+        assert [name.startswith(".jcsubdyn-") for name in os.listdir(tmp_path)] == [True]
+
     @pytest.fixture
     def umask_027(self, monkeypatch):
         set_umask = os.umask
