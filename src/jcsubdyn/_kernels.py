@@ -354,15 +354,10 @@ def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
     w2, s1z, s2z, t3 = inversion_series(v, w, 0, n_max + 1, p, p1, ws)
     s3z = -2j * alpha * t3
     quasi_n = _matvec(w2, p * rho_uu)
-    if rho_dd != 0.0:  # at rho_dd == 0 this subtracts +0, which changes no value
-        wm2 = np.square(w[:, :-1], out=w2)  # w_{n-1}², n = 0..n_max, over the read w_n²
-        quasi_n = quasi_n - _matvec(wm2, p * rho_dd)
-    quasi_n = quasi_n + float(np.arange(n_max + 1.0) @ p)
-    # at rho_ud == 0 the cross term is a signed zero, and a sum ending in n p(n) >= +0 is
-    # never -0; conj(t3) is the sum of p(n) w_n v_n / sqrt(n+1) but for a zero's sign
-    if rho_ud != 0:
-        cross = -1j * rho_ud * np.conj(alpha) * np.conj(t3)
-        quasi_n = quasi_n + 2.0 * cross.real
+    wm2 = np.square(w[:, :-1], out=w2)  # w_{n-1}², n = 0..n_max, over the read w_n²
+    quasi_n = quasi_n - _matvec(wm2, p * rho_dd) + float(np.arange(n_max + 1.0) @ p)
+    # conj(t3) is the sum of p(n) w_n v_n / sqrt(n+1) but for a zero's sign
+    quasi_n = quasi_n + 2.0 * (-1j * rho_ud * np.conj(alpha) * np.conj(t3)).real
 
     # each coefficient table is reduced to its sums before the next takes its buffer
     a_coef = dressing_a(v, w, 0, n_max, rho_uu, rho_dd, ws)

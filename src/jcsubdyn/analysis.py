@@ -64,10 +64,12 @@ ORACLE_CHANNELS = (
 )
 
 
+#: Worst tolerated closed-vs-oracle channel deviation: the CLI exits 3 beyond it.
+CROSSCHECK_TOL = 1e-6
 #: Largest phase rate x time a scenario may reach: there one ulp of the phase
-#: (eps x phase) is 1e-6, the closed-vs-oracle tolerance ``cli.CROSSCHECK_TOL``,
-#: so no channel keeps even that many digits beyond it.  About 4.5e9.
-MAX_PHASE = 1e-6 / np.finfo(np.float64).eps
+#: (eps x phase) is ``CROSSCHECK_TOL``, so no channel keeps even that many digits
+#: beyond it.  About 4.5e9.
+MAX_PHASE = CROSSCHECK_TOL / np.finfo(np.float64).eps
 #: Largest dense work d³ + 2 d² steps (d = 2 (n_max + 1)) an oracle scenario may
 #: ask for: an eigendecomposition a pass (under 1 % of it at two passes or more,
 #: where d <= 174), then two kets evolved over every step.  n_max 327 at 2000 points
@@ -129,7 +131,7 @@ class Scenario:
         if self.oracle and not h_bound * t_max <= MAX_PHASE / ORACLE_PHASE_SAFETY:
             raise ValueError(f"the oracle's phase ‖H‖ x time {h_bound * t_max:.3g} exceeds "
                              f"MAX_PHASE / {ORACLE_PHASE_SAFETY:g} (shorten the grid)")
-        hilbert.require_atom_density(self.atom_init)
+        object.__setattr__(self, "atom_init", hilbert.require_atom_density(self.atom_init))
         if self.magnitude < 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude!r}")
         if not math.isfinite(self.magnitude * self.magnitude):
@@ -374,7 +376,7 @@ def observable_series(scenario: Scenario, tail_tol: float = hilbert.DEFAULT_TAIL
     }
     if scenario.oracle:
         metadata["oracle_deviation"] = dict(zip(ORACLE_CHANNELS, worst[1:]))
-        metadata["oracle_deviation_max"] = max(worst[1:])
+        metadata["oracle_deviation_max"] = float(np.max(worst[1:]))
     return TimeSeries(scenario, gts, channels, metadata)
 
 
@@ -411,7 +413,7 @@ def sigma_z_spectrum(eff: subdyn.EffectiveOperator) -> SigmaZSpectrum:
     offset, dispersion = _spectrum(m[0, 0].real, m[1, 1].real, m[0, 1])
     evals = np.linalg.eigvalsh(m)
     defect = max(abs(offset - dispersion - evals[0]), abs(offset + dispersion - evals[1]))
-    if defect > _SPECTRUM_TOL:
+    if not defect <= _SPECTRUM_TOL:
         raise subdyn.CrossCheckError(
             f"spectrum formulas disagree with eigendecomposition by {defect:.3e}")
     return SigmaZSpectrum(eff.t, float(offset), float(dispersion))
@@ -439,7 +441,7 @@ def conservation_audit(series: TimeSeries, atom_init: np.ndarray,
     if max_abs(atom_init - series.scenario.atom_init) > 1e-12:
         raise ValueError("atom_init does not match the series scenario")
     mean = series.scenario.magnitude ** 2
-    if abs(mean_photons - mean) > 1e-12 * max(1.0, mean):  # sqrt(m) ** 2 may round off m
+    if not abs(mean_photons - mean) <= 1e-12 * max(1.0, mean):  # sqrt(m) ** 2 may round off m
         raise ValueError("mean photon number does not match the series scenario")
     for name in ("quasi_n", "sigma_z_mean"):
         if name not in series.channels:

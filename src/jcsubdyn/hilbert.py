@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import require_finite, require_hermitian
+from .numerics import require_hermitian
 
 __all__ = [
     "UP",
@@ -154,7 +154,7 @@ def auto_n_max(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     The closed forms' untruncated top sector differs from the truncated oracle
     by about |alpha| p(n_max - 1), so the CLI uses ``max(auto_n_max(mean), 8)``:
     at |alpha| = 1/64 this gives n_max 2 and an oracle gap of 4e-6 to 8e-6,
-    above ``cli.CROSSCHECK_TOL``; at n_max 8 the gap is below 1e-12.
+    above ``analysis.CROSSCHECK_TOL``; at n_max 8 the gap is below 1e-12.
     """
     if not 0 <= mean < _AUTO_N_MAX_LIMIT:  # NaN and inf included
         raise ValueError(f"mean must be in [0, {_AUTO_N_MAX_LIMIT}), got {mean!r}")
@@ -287,5 +287,4 @@ def require_atom_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (ATOM_DIM, ATOM_DIM):
         raise ValueError(f"atom density matrix must be 2x2, got {rho.shape}")
-    require_finite(rho, "atom density matrix")
     return require_density(rho, "atom density matrix")

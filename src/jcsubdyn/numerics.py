@@ -17,9 +17,7 @@ import numpy as np
 __all__ = [
     "max_abs",
     "require_finite",
-    "hermiticity_defect",
     "require_hermitian",
-    "hermitian_tolerance",
     "eigh_hermitian",
     "unitarity_defect",
     "require_unitary",
@@ -43,15 +41,6 @@ def require_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M†| entrywise."""
-    return max_abs(m - m.conj().T)
-
-
-def hermitian_tolerance(m: np.ndarray) -> float:
-    return DEFAULT_HERMITIAN_RTOL * max(1.0, max_abs(m))
-
-
 def require_hermitian(m: np.ndarray, tol: float | None = None, what: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within ``tol`` (default: 1e-12 relative to max-abs)."""
     m = np.asarray(m, dtype=np.complex128)
@@ -59,8 +48,8 @@ def require_hermitian(m: np.ndarray, tol: float | None = None, what: str = "matr
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     require_finite(m, what)
     if tol is None:
-        tol = hermitian_tolerance(m)
-    defect = hermiticity_defect(m)
+        tol = DEFAULT_HERMITIAN_RTOL * max(1.0, max_abs(m))
+    defect = max_abs(m - m.conj().T)
     if defect > tol:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
     return m

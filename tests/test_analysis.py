@@ -21,9 +21,9 @@ EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 ROOT10 = math.sqrt(10.0)
 
 
-def fig_scenario(ratio, g=0.02, n_max=60, grid=(0.0, 50.0, 2000), **kw):
+def fig_scenario(ratio, g=0.02, n_max=60, grid=(0.0, 50.0, 2000), atom_init=EXCITED, **kw):
     params = JcmParams(1.0, 1.0 - ratio * g, g, n_max)
-    return Scenario(params=params, atom_init=EXCITED, magnitude=ROOT10, phase=0.0,
+    return Scenario(params=params, atom_init=atom_init, magnitude=ROOT10, phase=0.0,
                     grid=grid, **kw)
 
 
@@ -71,6 +71,11 @@ class TestSigmaZSpectrum:
         eff = subdyn.EffectiveOperator("photon", 0.0, np.eye(3, dtype=complex), EXCITED)
         with pytest.raises(ValueError):
             sigma_z_spectrum(eff)
+
+    def test_nan_entry_fails_the_cross_check(self):
+        m = np.array([[math.nan, 0.0], [0.0, -1.0]], dtype=complex)
+        with pytest.raises(subdyn.CrossCheckError, match="spectrum formulas disagree"):
+            sigma_z_spectrum(subdyn.EffectiveOperator("atom", 0.0, m, EXCITED))
 
 
 class TestObservableSeries:
@@ -426,6 +431,8 @@ class TestConservationAudit:
             conservation_audit(fig10_series, np.array([[0.5, 0], [0, 0.5]], dtype=complex), 10.0)
         with pytest.raises(ValueError, match="mean photon"):
             conservation_audit(fig10_series, EXCITED, 9.0)
+        with pytest.raises(ValueError, match="mean photon"):
+            conservation_audit(fig10_series, EXCITED, math.nan)
 
     def test_scenario_mean_accepted_at_any_size(self):
         # sqrt(mean) ** 2 misses this mean by 1.8e-12, beyond an absolute 1e-12
@@ -436,6 +443,15 @@ class TestConservationAudit:
         assert conservation_audit(series, EXCITED, mean).max_residual < 1e-8 * mean
         with pytest.raises(ValueError, match="mean photon"):
             conservation_audit(series, EXCITED, mean * (1.0 + 1e-9))
+
+    def test_list_atom_start_runs_as_its_array(self):
+        grid = (0.0, 5.0, 20)
+        listed = observable_series(fig_scenario(10.0, grid=grid,
+                                                atom_init=[[1.0, 0.0], [0.0, 0.0]]))
+        array = observable_series(fig_scenario(10.0, grid=grid))
+        for name, values in array.channels.items():
+            assert listed.channels[name].tobytes() == values.tobytes()
+        assert conservation_audit(listed, EXCITED, 10.0).max_residual < 1e-8
 
     def test_missing_channel_rejected(self):
         series = observable_series(fig_scenario(10.0, grid=(0.0, 5.0, 20),

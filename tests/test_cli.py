@@ -662,9 +662,40 @@ class TestOracleMode:
         out = tmp_path / "fail.json"
         cfg = base_config(out, grid={"start": 0.0, "stop": 4.0, "steps": 6}, oracle=True,
                           output={"format": "json", "path": str(out)})
-        assert cli.main(["--config", write_config(tmp_path, cfg)]) == 3
-        assert "cross-check" in capsys.readouterr().err
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["--config", path]) == 3
+        scenario, _ = cli._resolve(cfg, hilbert.DEFAULT_TAIL_TOL)
+        worst = analysis.observable_series(scenario).metadata["oracle_deviation_max"]
+        assert capsys.readouterr().err == ("cross-check failure: closed form and brute force "
+                                           f"diverge by {worst:.3e} (> 0)\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nan_deviation_exits_3(self, tmp_path, monkeypatch, capsys, fmt):
+        # a NaN in a twin the run does not write, injected behind the input checks
+        real = analysis._oracle_channels
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out["oracle_sigma_z_mean"][:] = math.nan
+            return out
+
+        monkeypatch.setattr(analysis, "_oracle_channels", poisoned)
+        out = tmp_path / f"nan.{fmt}"
+        assert cli.main(["--alpha-mag", "1", "--grid", "0", "1", "3", "--channels", "quasi_n",
+                         "--oracle", "on", "--format", fmt, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == ("cross-check failure: closed form and brute force "
+                                           "diverge by nan (> 1e-06)\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_first_scenario_stops_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CROSSCHECK_TOL", 0.0)
+        grid = {"start": 0.0, "stop": 4.0, "steps": 6}
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        path = write_config(tmp_path, {"scenarios": [
+            base_config(first, grid=grid, oracle=True), base_config(second, grid=grid)]})
+        assert cli.main(["--config", path]) == 3
+        assert not first.exists() and not second.exists()
 
     def test_cross_check_error_inside_a_run_exits_3(self, tmp_path, monkeypatch, capsys):
         from jcsubdyn import analysis, subdyn
