@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels, hilbert, jcm, subdyn
-from .numerics import max_abs, require_hermitian
+from .numerics import UNITARY_TOL, max_abs, require_hermitian, unitarity_defect
 
 __all__ = [
     "Scenario",
@@ -132,6 +132,8 @@ class Scenario:
             raise ValueError(f"the oracle's phase ‖H‖ x time {h_bound * t_max:.3g} exceeds "
                              f"MAX_PHASE / {ORACLE_PHASE_SAFETY:g} (shorten the grid)")
         object.__setattr__(self, "atom_init", hilbert.require_atom_density(self.atom_init))
+        if self.oracle:  # the Kraus route's eigh reads one triangle of the weighting state
+            require_hermitian(self.atom_init, what="the oracle's atom start")
         if self.magnitude < 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude!r}")
         if not math.isfinite(self.magnitude * self.magnitude):
@@ -283,7 +285,7 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
     h = jcm.hamiltonian(p).total
     prop = subdyn.SpectralPropagator(h)
     prop.require_eigensystem(h)
-    rho_atom = require_hermitian(scenario.atom_init, what="weighting state")
+    rho_atom = scenario.atom_init
     root_n, n, bands = _photon_bands(p.space.dim)
     sigma_z = hilbert.pauli_ops().z
     # the diagonals of a ⊗ I (ATOM_DIM off), N ⊗ I and I ⊗ sigma_z, photon-major
@@ -308,13 +310,15 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
                 f"evolved states lose norm or orthogonality at gt = {gts[lo + worst]:g}: "
                 f"defect {defect[worst]:.3e} (> {_STATE_TOL:.1e})")
 
-    rho_photon = require_hermitian(coh.density(), what="weighting state")
+    rho_photon = coh.density()
     atom_factors = subdyn._weight_factors(rho_atom)
     # |alpha><alpha| is pure: its one Kraus factor q chi is the amplitudes (q = 1 if all are 0)
     root = math.sqrt(norm0) or 1.0
     photon_factors = (np.array([root]), (amps / root)[:, None])
     for k in _HEISENBERG_POINTS:
-        u = subdyn.require_unitary(prop(ts[k]), "propagator")
+        if not (defect := unitarity_defect(u := prop(ts[k]))) <= UNITARY_TOL:
+            raise subdyn.CrossCheckError(f"propagator at gt = {gts[k]:g} is not unitary: "
+                                         f"defect {defect:.3e} (> {UNITARY_TOL:.1e})")
         eff_a, eff_n = subdyn._effective_matrices(u, "photon", bands, rho_atom, atom_factors)
         (eff_z,) = subdyn._effective_matrices(u, "atom", (lambda x: sigma_z @ x,),
                                               rho_photon, photon_factors)

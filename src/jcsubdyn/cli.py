@@ -33,7 +33,6 @@ import functools
 import json
 import math
 import os
-import secrets
 import sys
 
 import numpy as np
@@ -244,7 +243,7 @@ def _atomic_write(path: str, chunks) -> None:
             mode = os.stat(path).st_mode & 0o7777
         except FileNotFoundError:
             mode = None  # os.open's 0o666, less the umask, which the kernel applies
-        tmp = os.path.join(directory, f".jcsubdyn-{secrets.token_hex(8)}.tmp")
+        tmp = os.path.join(directory, f".jcsubdyn-{os.urandom(8).hex()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:

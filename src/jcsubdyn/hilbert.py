@@ -231,16 +231,12 @@ def coherent_state(magnitude: float, phase: float, space: FockSpace) -> Coherent
 
 def embed_photon(op: np.ndarray) -> np.ndarray:
     """photon_op ⊗ I_atom on the composite space."""
-    op = np.asarray(op, dtype=np.complex128)
-    return np.kron(op, np.eye(ATOM_DIM, dtype=np.complex128))
+    return tensor_product(op, np.eye(ATOM_DIM))
 
 
 def embed_atom(op: np.ndarray, space: FockSpace) -> np.ndarray:
     """I_photon ⊗ atom_op on the composite space."""
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (ATOM_DIM, ATOM_DIM):
-        raise ValueError(f"atom operator must be 2x2, got {op.shape}")
-    return np.kron(np.eye(space.dim, dtype=np.complex128), op)
+    return tensor_product(np.eye(space.dim), op)
 
 
 def tensor_product(photon_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:

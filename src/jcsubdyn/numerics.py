@@ -25,8 +25,8 @@ __all__ = [
 
 #: Default Hermiticity tolerance, relative to the max-abs norm of the matrix.
 DEFAULT_HERMITIAN_RTOL = 1e-12
-#: Largest entry of |U†U - I| that :func:`require_unitary` accepts; the
-#: eigensystem check of ``subdyn.SpectralPropagator`` uses it too.
+#: Largest entry of |U†U - I| that :func:`require_unitary` accepts; the oracle's
+#: eigensystem and Heisenberg-point checks hold :func:`unitarity_defect` to it too.
 UNITARY_TOL = 1e-10
 
 
@@ -76,6 +76,6 @@ def unitarity_defect(u: np.ndarray) -> float:
 def require_unitary(u: np.ndarray, what: str = "operator") -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     defect = unitarity_defect(u)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise ValueError(f"{what} is not unitary: defect {defect:.3e} > tol {UNITARY_TOL:.3e}")
     return u

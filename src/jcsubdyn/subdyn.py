@@ -37,7 +37,8 @@ from .hilbert import (
     require_atom_density,
     require_density,
 )
-from .numerics import UNITARY_TOL, eigh_hermitian, max_abs, require_hermitian, require_unitary
+from .numerics import (UNITARY_TOL, eigh_hermitian, max_abs, require_hermitian, require_unitary,
+                       unitarity_defect)
 
 __all__ = [
     "CrossCheckError",
@@ -135,7 +136,7 @@ class SpectralPropagator:
         residual = max_abs(h @ self.evecs - self.evecs * self.evals)
         if scale > 0.0:
             residual /= scale
-        defect = max_abs(self.evecs.conj().T @ self.evecs - np.eye(len(self.evals)))
+        defect = unitarity_defect(self.evecs)
         if not (residual <= UNITARY_TOL and defect <= UNITARY_TOL):
             raise CrossCheckError(
                 f"eigendecomposition is off: relative |HV - VE| {residual:.3e}, "

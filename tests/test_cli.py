@@ -229,6 +229,14 @@ class TestInputHardening:
                 Scenario(params=params, atom_init=atom, magnitude=1.0, grid=(0.0, 1.0, 3),
                          oracle=oracle)
             assert "\n" not in str(err.value)
+        # Hermitian within the density bound (1e-10) but not within the oracle's (1e-12)
+        skew = np.array([[1.0, 0.0], [1e-11, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="oracle's atom start is not Hermitian") as err:
+            Scenario(params=JcmParams(1.0, 1.0, 0.02, 10), atom_init=skew, magnitude=1.0,
+                     grid=(0.0, 1.0, 3), oracle=True)
+        assert "\n" not in str(err.value)
+        Scenario(params=JcmParams(1.0, 1.0, 0.02, 10), atom_init=skew, magnitude=1.0,
+                 grid=(0.0, 1.0, 3))
 
     def test_oracle_over_work_budget_exits_2_within_a_second(self, tmp_path):
         # a child capped at 1 GiB: without the check it would build dense d = 6002
@@ -686,6 +694,21 @@ class TestOracleMode:
                          "--oracle", "on", "--format", fmt, "--output", str(out)]) == 3
         assert capsys.readouterr().err == ("cross-check failure: closed form and brute force "
                                            "diverge by nan (> 1e-06)\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("scale", [1.001, math.nan])
+    def test_non_unitary_propagator_exits_3(self, tmp_path, monkeypatch, capsys, scale):
+        from jcsubdyn import subdyn
+
+        real = subdyn.SpectralPropagator.__call__
+        monkeypatch.setattr(subdyn.SpectralPropagator, "__call__",
+                            lambda self, t: scale * real(self, t))
+        out = tmp_path / "fail.csv"
+        assert cli.main(["--alpha-mag", "1", "--grid", "0", "1", "3", "--oracle", "on",
+                         "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cross-check failure: propagator at gt = 0 is not unitary")
+        assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
     def test_failing_first_scenario_stops_the_run(self, tmp_path, monkeypatch):

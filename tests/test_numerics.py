@@ -88,6 +88,11 @@ def test_require_finite_rejects_nan():
         numerics.require_finite(m)
 
 
+def test_require_unitary_rejects_nan():
+    with pytest.raises(ValueError, match="is not unitary: defect nan"):
+        numerics.require_unitary(np.full((4, 4), np.nan, dtype=complex))
+
+
 def test_hermitian_tolerance_is_relative():
     h = 1e6 * np.eye(3, dtype=complex)
     h[0, 1] = 1e-8  # below 1e-12 * 1e6
