@@ -13,9 +13,12 @@ with one row per time; :func:`channel_sums` reduces them one block of
 caller and one helper thread, each writing its tables into one workspace.
 
 Sector index convention: column ``j`` of a correlation table holds sector
-``n = j - 1``; the leading ``n = -1`` column is the boundary sector with
+``n = lo + j - 1``, where ``lo`` is the first sector asked for (0 by default).
+At ``lo = 0`` the leading ``n = -1`` column is the boundary sector with
 ``g sqrt(n+1) = 0`` (it evaluates to v = exp(i half_det t), w = 0 through
-the same formula, no special casing).
+the same formula, no special casing).  :func:`channel_sums` starts its tables
+at the sector window's first sector: a coherent start of large mean leaves
+the sectors far below it with no weight.
 
 Each dressing coefficient is written once, here: :func:`dressing_a`,
 :func:`dressing_c` and :func:`dressing_d` for the quasi-annihilation
@@ -24,10 +27,12 @@ operator, :func:`dressing_n` for the quasi-number operator,
 s3 sum also give the quasi-number channel of :func:`channel_sums`) and
 :func:`spin_plus_terms` for the dressed raising operator.  They take
 the sectors as a half-open range ``lo, hi`` and read sector ``n`` and its
-neighbours ``n - 1``, ``n + 1`` as basic column slices, so they work on the
-time-blocked tables of :func:`channel_sums` and on the one-row tables of
-the per-t functions in :mod:`jcsubdyn.jcm` alike.  Terms whose density weight
-is an exact zero are skipped where the signed zeros they add move no byte.
+neighbours ``n - 1``, ``n + 1`` as basic column slices of tables whose first
+column holds sector ``lo - 1`` (their weights ``p``, ``p1`` are indexed by
+sector), so they work on the time-blocked tables of :func:`channel_sums` and
+on the one-row tables of the per-t functions in :mod:`jcsubdyn.jcm` alike.
+Terms whose density weight is an exact zero are skipped where the signed
+zeros they add move no byte.
 Each table they make is written by a ufunc call with ``out=`` (a new array, or
 a buffer of the workspace ``ws``), in the operand order of the literal
 formula, so numpy never swaps the operands to reuse a temporary in place.
@@ -134,9 +139,9 @@ def sector_rate(half_det, kappa):
     return np.sqrt(half_det * half_det + kappa * kappa)
 
 
-def _sector_rates(half_det: float, g: float, n_cols: int):
-    """lam, cos2t and sin2t of the table columns."""
-    kappa = g * np.sqrt(np.arange(-1, n_cols - 1, dtype=np.float64) + 1.0)
+def _sector_rates(half_det: float, g: float, n_cols: int, lo: int = 0):
+    """lam, cos2t and sin2t of the table columns, sectors lo - 1..lo + n_cols - 2."""
+    kappa = g * np.sqrt(np.arange(lo - 1, lo + n_cols - 1, dtype=np.float64) + 1.0)
     lam = sector_rate(half_det, kappa)
     safe = np.where(lam > 0.0, lam, 1.0)
     cos2t = np.where(lam > 0.0, half_det / safe, 1.0)
@@ -146,11 +151,12 @@ def _sector_rates(half_det: float, g: float, n_cols: int):
 
 # --- correlation-factor tables ---------------------------------------------
 
-def corr_tables(ts: np.ndarray, half_det: float, g: float, n_cols: int, ws=None, rates=None):
-    """v and w tables of shape (len(ts), n_cols); column j is sector n = j-1.  ``rates``
-    are their :func:`_sector_rates` rows, if already made."""
+def corr_tables(ts: np.ndarray, half_det: float, g: float, n_cols: int, lo: int = 0,
+                ws=None, rates=None):
+    """v and w tables of shape (len(ts), n_cols); column j is sector n = lo + j - 1.
+    ``rates`` are their :func:`_sector_rates` rows, if already made."""
     ts = np.asarray(ts, dtype=np.float64)
-    lam, cos2t, sin2t = rates or _sector_rates(float(half_det), float(g), int(n_cols))
+    lam, cos2t, sin2t = rates or _sector_rates(float(half_det), float(g), int(n_cols), int(lo))
     phase = np.outer(ts, lam, out=_table(ws, "real", (ts.size, lam.size)))
     sin_p = np.sin(phase, out=_table(ws, "w", phase.shape))
     # v holds the bytes of cos(phase) + 1j * cos2t * sin_p, assembled without
@@ -171,8 +177,8 @@ def dressing_a(v, w, lo, hi, rho_uu, rho_dd, ws=None):
 
     Reads sectors n - 1..n + 1; pristine value 1.
     """
-    n = np.arange(lo, hi, dtype=np.float64)
-    vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
+    n, m = np.arange(lo, hi, dtype=np.float64), hi - lo
+    vn, wn = v[..., 1:m + 1], w[..., 1:m + 1]
     # a branch weighted by an exact 0 would add signed zeros to the other one,
     # which has no -0 part at the weight 1 a density then gives it (its complex
     # add makes every -0 imaginary part +0, its real part is a cosine product)
@@ -183,8 +189,8 @@ def dressing_a(v, w, lo, hi, rho_uu, rho_dd, ws=None):
     a = None
     for (rho, k, factor), name in zip(branches, ("coef", "aux")):
         term = np.conj(vn, out=_table(ws, name, vn.shape))
-        np.multiply(term, v[..., lo + k:hi + k], out=term)
-        real = np.multiply(wn, w[..., lo + k:hi + k], out=_table(ws, "real", wn.shape))
+        np.multiply(term, v[..., k:m + k], out=term)
+        real = np.multiply(wn, w[..., k:m + k], out=_table(ws, "real", wn.shape))
         np.add(term, np.multiply(real, factor, out=real), out=term)
         np.multiply(rho, term, out=term)
         a = term if a is None else np.add(a, term, out=a)
@@ -194,9 +200,9 @@ def dressing_a(v, w, lo, hi, rho_uu, rho_dd, ws=None):
 def _off_diagonal(v, w, lo, hi, rho, conj, first, second, ws):
     """1j rho (w_{n-1} X(v_n) first - w_n X(v_{n-1}) second) over sectors n = lo..hi-1,
     where X conjugates when ``conj`` is set and ``first``, ``second`` are rows over n."""
-    terms = []
-    for wk, vk, factor, name in ((w[..., lo:hi], v[..., lo + 1:hi + 1], first, "coef"),
-                                 (w[..., lo + 1:hi + 1], v[..., lo:hi], second, "aux")):
+    terms, m = [], hi - lo
+    for wk, vk, factor, name in ((w[..., :m], v[..., 1:m + 1], first, "coef"),
+                                 (w[..., 1:m + 1], v[..., :m], second, "aux")):
         term = _table(ws, name, vk.shape)
         np.multiply(wk, np.conj(vk, out=term) if conj else vk, out=term)
         terms.append(np.multiply(term, factor, out=term))
@@ -219,9 +225,9 @@ def dressing_d(v, w, lo, hi, rho_ud, ws=None):
 def dressing_n(v, w, lo, hi, rho_uu, rho_dd, rho_ud):
     """Quasi-number |n><n| entries n + rho_uu w_n² - rho_dd w_{n-1}² and |n+1><n|
     entries -i rho_ud w_n v_n (|n><n+1| holds their conjugates), sectors n = lo..hi-1."""
-    n = np.arange(lo, hi, dtype=np.float64)
-    vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
-    return n + rho_uu * wn ** 2 - rho_dd * w[..., lo:hi] ** 2, -1j * rho_ud * wn * vn
+    n, m = np.arange(lo, hi, dtype=np.float64), hi - lo
+    vn, wn = v[..., 1:m + 1], w[..., 1:m + 1]
+    return n + rho_uu * wn ** 2 - rho_dd * w[..., :m] ** 2, -1j * rho_ud * wn * vn
 
 
 def inversion_series(v, w, lo, hi, p, p1, ws=None):
@@ -232,7 +238,7 @@ def inversion_series(v, w, lo, hi, p, p1, ws=None):
     by sector; s3 = -2i alpha t3.  The t3 term of sector n pairs the coherent
     amplitudes n and n + 1, so t3 stops one sector earlier, at n = hi - 2.
     """
-    vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
+    vn, wn = v[..., 1:hi - lo + 1], w[..., 1:hi - lo + 1]
     w2 = np.square(wn, out=_table(ws, "real", wn.shape))
     s1 = 1.0 - 2.0 * _matvec(w2, p[lo:hi])
     s2 = -1.0 + 2.0 * _matvec(w2, p1[lo:hi])
@@ -249,10 +255,10 @@ def spin_plus_terms(v, w, lo, hi, p, alpha):
     Each carries the Poisson weight p(n); both factors of the s1 term are
     conjugated; s2..s4 divide by ``alpha``.  Their sums over the last axis are the series.
     """
-    n = np.arange(lo, hi, dtype=np.float64)
+    n, m = np.arange(lo, hi, dtype=np.float64), hi - lo
     p = p[lo:hi]
-    vn, wn = v[..., lo + 1:hi + 1], w[..., lo + 1:hi + 1]
-    vm, wm = v[..., lo:hi], w[..., lo:hi]
+    vn, wn = v[..., 1:m + 1], w[..., 1:m + 1]
+    vm, wm = v[..., :m], w[..., :m]
     t1 = p * np.conj(vn) * np.conj(vm)
     t2 = p * wn * wm * (np.conj(alpha) / alpha) * np.sqrt(n / (n + 1.0))
     t3 = -1j * p * np.conj(vn) * wm * np.sqrt(n) / alpha
@@ -274,28 +280,30 @@ def _block_workers(n_blocks: int) -> int:
     return 2 if n_blocks > 1 and (cpus or 1) > 1 else 1
 
 
-def channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rho_ud):
-    """Every closed-form channel sum over the grid ``ts``.
+def channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rho_ud, lo=0):
+    """Every closed-form channel sum over the grid ``ts``, summed over sectors lo..n_max.
 
     Returns (s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a).
-    The tables are built and reduced one block of ``block_rows(n_max + 2)``
+    The tables hold sectors lo - 1..n_max, n_cols = n_max + 2 - lo columns;
+    they are built and reduced one block of ``block_rows(n_cols)``
     grid points at a time, in one workspace per worker, so their memory stays
     O(BLOCK_CELLS) for any grid length.  The caller and, with two blocks or
     more, one helper thread claim the blocks in turn and write each block's
     rows into the outputs; no byte depends on which of them reduced a block.
     """
-    ts = np.asarray(ts, dtype=np.float64)
+    ts, lo = np.asarray(ts, dtype=np.float64), int(lo)
     args = (int(n_max), float(half_det), float(g), float(omega),
             np.asarray(p, dtype=np.float64), np.asarray(p1, dtype=np.float64),
-            complex(alpha), float(rho_uu), float(rho_dd), complex(rho_ud))
-    rows = block_rows(args[0] + 2)
-    rates = _sector_rates(args[1], args[2], args[0] + 2)  # read by every block
+            complex(alpha), float(rho_uu), float(rho_dd), complex(rho_ud), lo)
+    n_cols = args[0] + 2 - lo
+    rows = block_rows(n_cols)
+    rates = _sector_rates(args[1], args[2], n_cols, lo)  # read by every block
     # numpy takes a one-row block through a dot kernel, which rounds differently
     # from the matrix-vector one: the last row goes alone exactly where blocks of
     # LONE_ROW_CELLS leave it alone, so no budget from there up moves a byte
-    last = len(ts) - (len(ts) % block_rows(args[0] + 2, LONE_ROW_CELLS) == 1)
+    last = len(ts) - (len(ts) % block_rows(n_cols, LONE_ROW_CELLS) == 1)
     edges = [*range(0, last, rows), last, len(ts)]
-    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    blocks = [slice(start, stop) for start, stop in zip(edges, edges[1:]) if start < stop]
     n_blocks = len(blocks)
     sums = tuple(np.empty(len(ts), dtype=dtype) for dtype in _SUM_DTYPES)
     # next() on a count is atomic under the GIL; a claim duplicated without
@@ -304,7 +312,7 @@ def channel_sums(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_dd, rh
     errors = []  # the first error stops both workers
 
     def reduce_blocks():
-        ws = {name: np.empty(min(rows, len(ts)) * (args[0] + 2), dtype)
+        ws = {name: np.empty(min(rows, len(ts)) * n_cols, dtype)
               for name, dtype in _WORKSPACE.items()}
         for k in claims:
             if k >= n_blocks or errors:
@@ -348,36 +356,39 @@ def _has_negative_zero(x) -> bool:
 
 
 def _channel_sums_block(ts, n_max, half_det, g, omega, p, p1, alpha,
-                        rho_uu, rho_dd, rho_ud, ws=None, rates=None):
-    """Every channel sum over one (len(ts), n_max + 2) table pair, kept in ``ws`` if given."""
-    v, w = corr_tables(ts, half_det, g, n_max + 2, ws, rates)
-    w2, s1z, s2z, t3 = inversion_series(v, w, 0, n_max + 1, p, p1, ws)
+                        rho_uu, rho_dd, rho_ud, lo=0, ws=None, rates=None):
+    """Every channel sum over one (len(ts), n_max + 2 - lo) table pair, sectors lo - 1..n_max,
+    kept in ``ws`` if given."""
+    v, w = corr_tables(ts, half_det, g, n_max + 2 - lo, lo, ws, rates)
+    w2, s1z, s2z, t3 = inversion_series(v, w, lo, n_max + 1, p, p1, ws)
     s3z = -2j * alpha * t3
-    quasi_n = _matvec(w2, p * rho_uu)
-    wm2 = np.square(w[:, :-1], out=w2)  # w_{n-1}², n = 0..n_max, over the read w_n²
-    quasi_n = quasi_n - _matvec(wm2, p * rho_dd) + float(np.arange(n_max + 1.0) @ p)
+    quasi_n = _matvec(w2, p[lo:] * rho_uu)
+    wm2 = np.square(w[:, :-1], out=w2)  # w_{n-1}², n = lo..n_max, over the read w_n²
+    quasi_n = (quasi_n - _matvec(wm2, p[lo:] * rho_dd)
+               + float(np.arange(lo, n_max + 1.0) @ p[lo:]))
     # conj(t3) is the sum of p(n) w_n v_n / sqrt(n+1) but for a zero's sign
     quasi_n = quasi_n + 2.0 * (-1j * rho_ud * np.conj(alpha) * np.conj(t3)).real
 
     # each coefficient table is reduced to its sums before the next takes its buffer
-    a_coef = dressing_a(v, w, 0, n_max, rho_uu, rho_dd, ws)
+    a_coef = dressing_a(v, w, lo, n_max, rho_uu, rho_dd, ws)
     moduli = _table(ws, "real", a_coef.shape)
-    a_sum = _matvec(a_coef, p[:-1])
+    a_sum = _matvec(a_coef, p[lo:-1])
     a_dev = np.subtract(a_coef, 1.0, out=_table(ws, "aux", a_coef.shape))
-    qpl_dev = _matvec(np.abs(a_dev, out=moduli), p[:-1])
-    qpl_abs_a = _matvec(np.abs(a_coef, out=moduli), p[:-1])
+    qpl_dev = _matvec(np.abs(a_dev, out=moduli), p[lo:-1])
+    qpl_abs_a = _matvec(np.abs(a_coef, out=moduli), p[lo:-1])
     rot = np.exp(-1j * omega * ts)
     # at rho_ud == 0, C_n and D_n are signed zeros too (their moduli sum to +0): added
     # to alpha * a_sum they move only its -0 parts, found at alpha = 0 or on underflow
     if rho_ud == 0 and not _has_negative_zero(alpha * a_sum):
         quasi_a, qpl_cd = rot * (alpha * a_sum), np.zeros(len(ts))
         return s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a
-    d_coef = dressing_d(v, w, 0, n_max + 1, rho_ud, ws)
-    d_sum = _matvec(d_coef, p)
-    qpl_cd = _matvec(np.abs(d_coef, out=_table(ws, "real", d_coef.shape)), p)
-    c_coef = dressing_c(v, w, 1, n_max, np.conj(rho_ud), ws)
-    n = np.arange(1, n_max, dtype=np.float64)
-    c_sum = _matvec(c_coef, p[:-2] / np.sqrt(n * (n + 1.0)))
-    qpl_cd = qpl_cd + _matvec(np.abs(c_coef, out=_table(ws, "real", c_coef.shape)), p[1:-1])
+    d_coef = dressing_d(v, w, lo, n_max + 1, rho_ud, ws)
+    d_sum = _matvec(d_coef, p[lo:])
+    qpl_cd = _matvec(np.abs(d_coef, out=_table(ws, "real", d_coef.shape)), p[lo:])
+    c_lo = max(lo, 1)  # C_n starts at sector 1
+    c_coef = dressing_c(v[:, c_lo - lo:], w[:, c_lo - lo:], c_lo, n_max, np.conj(rho_ud), ws)
+    n = np.arange(c_lo, n_max, dtype=np.float64)
+    c_sum = _matvec(c_coef, p[c_lo - 1:-2] / np.sqrt(n * (n + 1.0)))
+    qpl_cd = qpl_cd + _matvec(np.abs(c_coef, out=_table(ws, "real", c_coef.shape)), p[c_lo:-1])
     quasi_a = rot * (alpha * a_sum + alpha * alpha * c_sum + d_sum)
     return s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a

@@ -78,8 +78,10 @@ MAX_ORACLE_WORK = 4e9
 #: An oracle's ‖H‖ t, ‖H‖ <= omega (n_max + 1) + |omega0| + g sqrt(n_max + 1), may reach
 #: MAX_PHASE / this: its channels drift by up to 1.5 eps ‖H‖ t (130 draws up to 4e9).
 ORACLE_PHASE_SAFETY = 2.0
-#: Most table cells steps x (n_max + 2) a scenario's closed path may reduce: about
-#: 6.5 s at 65 ns a cell (n_max 300-3000, two block workers on a 2-vCPU Xeon).
+#: Most table cells steps x (n_max + 2) a scenario's closed path may reduce, counted over
+#: the full table, not the sector window the sums keep.  On a 2-vCPU Xeon with two block
+#: workers a cell took 65 ns at n_max 300-3000 (6.5 s at the budget) but 250 ns at n_max 8,
+#: where the per-row work outweighs the per-cell work (5e7 cells in 12.4 s).
 MAX_TABLE_CELLS = 1e8
 #: Most output values steps x (channels + oracle twins + gt) a scenario may ask for:
 #: about 250 MB of JSON (25 B a value) or 190 MB of CSV (19 B), 80 MB as arrays.
@@ -200,14 +202,17 @@ def _conserved(mean_n, mean_z):
 _PASS_POINTS = 128 * _kernels.T_BLOCK
 
 
-def _closed_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float, gts: np.ndarray):
-    """Every closed-form channel over the grid values ``gts``."""
+def _closed_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
+                     gts: np.ndarray, tail_tol: float):
+    """Every closed-form channel over the grid values ``gts``, its sums starting at the
+    sector ``hilbert._lower_cut`` gives for ``tail_tol`` (at most n_max - 1)."""
     p = scenario.params
     both = hilbert.poisson_weights(coh.mean_photons, p.n_max + 1)  # p(n) and p(n+1)
     rho = scenario.atom_init
+    lo = min(hilbert._lower_cut(coh.mean_photons, tail_tol), p.n_max - 1)
     s1z, s2z, s3z, quasi_a, quasi_n, qpl_dev, qpl_cd, qpl_abs_a = _kernels.channel_sums(
         _times(p, gts), p.n_max, p.half_detuning, p.g, p.omega, both[:-1], both[1:],
-        coh.alpha, rho[0, 0].real, rho[1, 1].real, complex(rho[0, 1]))
+        coh.alpha, rho[0, 0].real, rho[1, 1].real, complex(rho[0, 1]), lo)
     sigma_mean = (rho[0, 0].real * s1z + rho[1, 1].real * s2z
                   + 2.0 * (rho[1, 0] * s3z).real)
     offset, dispersion = _spectrum(s1z, s2z, s3z)
@@ -358,7 +363,7 @@ def observable_series(scenario: Scenario, tail_tol: float = hilbert.DEFAULT_TAIL
     worst = []  # a row a pass: its largest residual, then its |closed - oracle| a twin
     for lo in range(0, len(gts), _PASS_POINTS):  # at least once: a grid has 2 steps or more
         block = gts[lo:lo + _PASS_POINTS]
-        out = _closed_channels(scenario, coh, lhs, block)
+        out = _closed_channels(scenario, coh, lhs, block, tail_tol)
         worst.append([out["conservation_residual"].max()])
         if scenario.oracle:
             out.update(_oracle_channels(scenario, coh, lhs, block))

@@ -45,9 +45,12 @@ from .subdyn import CrossCheckError
 
 __all__ = ["main", "run_scenario", "emit_output"]
 
-#: CSV rows formatted per string handed to the file: the text of a long grid
-#: is never held whole.
-CSV_CHUNK_ROWS = 256
+#: Values formatted per string handed to the file, so the text of a long grid is
+#: never held whole.  A CSV string holds CSV_CHUNK_VALUES // columns rows (315 at
+#: figure1's 13 columns): the CSV formatter cost 1.4 times as much a value in strings
+#: of 256 two-column rows.  A JSON piece's ``repr`` calls cost the same at any size.
+CSV_CHUNK_VALUES = 4096
+JSON_CHUNK_VALUES = 256
 
 
 class ConfigError(ValueError):
@@ -262,10 +265,11 @@ def _atomic_write(path: str, chunks) -> None:
 
 
 def _csv_chunks(head: str, columns):
-    """``head``, then the columns as ``'%.17g'`` CSV text, ``CSV_CHUNK_ROWS`` rows a string."""
+    """``head``, then the columns as ``'%.17g'`` CSV text, ``CSV_CHUNK_VALUES`` values a string."""
     yield head
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        yield format_rows(np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in columns]))
+    rows = max(1, CSV_CHUNK_VALUES // len(columns))
+    for start in range(0, len(columns[0]), rows):
+        yield format_rows(np.column_stack([c[start:start + rows] for c in columns]))
 
 
 def _require_finite(fmt: str, columns) -> None:
@@ -276,10 +280,10 @@ def _require_finite(fmt: str, columns) -> None:
 
 
 def _json_array(values, pad: str):
-    """A float array as json.dumps(indent=2) writes it ``pad`` deep, CSV_CHUNK_ROWS a piece."""
+    """A float array as json.dumps(indent=2) writes it ``pad`` deep, JSON_CHUNK_VALUES a piece."""
     values, sep = np.asarray(values, dtype=np.float64), f",\n{pad}  "
-    for start in range(0, len(values), CSV_CHUNK_ROWS):
-        text = sep.join(map(float.__repr__, values[start:start + CSV_CHUNK_ROWS].tolist()))
+    for start in range(0, len(values), JSON_CHUNK_VALUES):
+        text = sep.join(map(float.__repr__, values[start:start + JSON_CHUNK_VALUES].tolist()))
         yield (sep if start else f"[\n{pad}  ") + text
     yield f"\n{pad}]" if len(values) else "[]"
 

@@ -170,6 +170,14 @@ def auto_n_max(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
                              f"{tail_tol:g} at mean {mean:g}")
 
 
+def _lower_cut(mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
+    """First sector of the closed sums: the largest n whose Poisson mass and first
+    moment below it, sum p(k) and sum k p(k) over k < n, both stay <= tail_tol / 2."""
+    p = poisson_weights(mean, int(mean))
+    kept = (np.cumsum(p) <= tail_tol / 2) & (np.cumsum(np.arange(p.size) * p) <= tail_tol / 2)
+    return int(np.count_nonzero(kept))  # both sums grow with n: the kept n are a prefix
+
+
 @dataclass(frozen=True)
 class CoherentState:
     """Truncated coherent state |alpha>, alpha = magnitude * exp(i phase).

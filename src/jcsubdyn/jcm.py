@@ -158,11 +158,11 @@ def correlation_factors(n: int, t: float, params: JcmParams) -> CorrelationFacto
     return CorrelationFactors(n, lam, theta, v, w)
 
 
-def _corr_row(t: float, params: JcmParams, top: int | None = None):
-    """(v, w) rows at one time, for sectors -1..top (default: n_max)."""
+def _corr_row(t: float, params: JcmParams, lo: int = 0, top: int | None = None):
+    """(v, w) rows at one time, for sectors lo - 1..top (default: n_max)."""
     top = params.n_max if top is None else top
     v, w = _kernels.corr_tables(np.array([t], dtype=np.float64), params.half_detuning,
-                                params.g, top + 2)
+                                params.g, top + 2 - lo, lo)
     return v[0], w[0]
 
 
@@ -297,7 +297,7 @@ def photon_dressing(n: int, t: float, atom_init: np.ndarray, params: JcmParams) 
     if n < 0:
         raise ValueError(f"sector index must be >= 0, got {n}")
     atom_init = require_atom_density(atom_init)
-    v, w = _corr_row(t, params, top=n + 1)
+    v, w = _corr_row(t, params, n, n + 1)
     a = _kernels.dressing_a(v, w, n, n + 1, atom_init[UP, UP].real, atom_init[DOWN, DOWN].real)
     c = _kernels.dressing_c(v, w, n, n + 1, atom_init[DOWN, UP])
     d = _kernels.dressing_d(v, w, n, n + 1, atom_init[UP, DOWN])
@@ -310,7 +310,7 @@ def _photon_coefficients(t: float, atom_init: np.ndarray, params: JcmParams):
     n_max = params.n_max
     v, w = _corr_row(t, params)
     return (_kernels.dressing_a(v, w, 0, n_max, atom_init[UP, UP].real, atom_init[DOWN, DOWN].real),
-            _kernels.dressing_c(v, w, 1, n_max, atom_init[DOWN, UP]),
+            _kernels.dressing_c(v[1:], w[1:], 1, n_max, atom_init[DOWN, UP]),
             _kernels.dressing_d(v, w, 0, n_max + 1, atom_init[UP, DOWN]))
 
 

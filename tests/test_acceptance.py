@@ -124,7 +124,7 @@ def _batched_duality(ts, p, coh, rho):
     v, w = _kernels.corr_tables(ts, p.half_detuning, p.g, n_max + 2)
     rho_uu, rho_dd, rho_ud = rho[0, 0].real, rho[1, 1].real, rho[0, 1]
     a_coef = _kernels.dressing_a(v, w, 0, n_max, rho_uu, rho_dd)
-    c_coef = _kernels.dressing_c(v, w, 1, n_max, rho[1, 0])
+    c_coef = _kernels.dressing_c(v[:, 1:], w[:, 1:], 1, n_max, rho[1, 0])
     d_coef = _kernels.dressing_d(v, w, 0, n_max + 1, rho_ud)
     near = amps[:-1].conj() * amps[1:]  # conj(alpha_n) alpha_{n+1}
     rhs_a = np.exp(-1j * p.omega * ts) * (

@@ -520,8 +520,9 @@ class TestCsvText:
         series = analysis.TimeSeries(scenario, values[0],
                                      {"quasi_n": values[1], "sigma_z_mean": values[2]}, {})
         texts = []
-        for rows in (1, 7, 256):
-            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+        # 1, 2, 85 and 200 rows a chunk of these three columns
+        for size in (1, 7, 256, cli.CSV_CHUNK_VALUES):
+            monkeypatch.setattr(cli, "CSV_CHUNK_VALUES", size)
             cli.emit_output(series, "csv", str(tmp_path / "out.csv"), {})
             texts.append((tmp_path / "out.csv").read_text())
         want = percent_17g(values.T)
@@ -533,10 +534,11 @@ class TestCsvText:
 class TestStreamedWriters:
     """Both writers stream: each string handed to the file holds a few rows."""
 
-    @pytest.mark.parametrize("fmt, points", [("csv", 25_000), ("json", 10_000)])
+    @pytest.mark.parametrize("fmt, points", [("csv", 100_000), ("json", 10_000)])
     def test_writer_allocates_a_few_rows_for_a_long_series(self, tmp_path, fmt, points):
-        """gt and three channels: at 25k points the whole CSV table alone is 0.8 MB,
-        and at 10k points the JSON text of the channels 0.75 MB."""
+        """gt and three channels: at 100k points the whole CSV table alone is 3.2 MB,
+        and at 10k points the JSON text of the channels 0.75 MB.  A CSV string of
+        CSV_CHUNK_VALUES = 4096 values is formatted in about 0.9 MB."""
         from jcsubdyn.jcm import JcmParams
 
         scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
@@ -551,19 +553,23 @@ class TestStreamedWriters:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.4e6, f"peak traced allocation {peak / 1e6:.2f} MB"
+        limit = {"csv": 1.2e6, "json": 0.4e6}[fmt]
+        assert peak < limit, f"peak traced allocation {peak / 1e6:.2f} MB"
 
     def test_passes_and_chunks_move_no_byte(self, tmp_path, monkeypatch):
         """1537 points at n_max 45 end in a lone row: in passes of 512 points and
-        strings of 7 rows both files hold the bytes of one pass and 256 rows."""
+        strings of 7 values (one CSV row) both files hold the bytes of one pass and
+        the default strings."""
         argv = ["--n-max", "45", "--alpha-mag", str(ROOT10), "--omega0", "0.8", "--g", "0.02",
                 "--atom-uu", "0.6", "--atom-ud-re", "-0.3", "--atom-ud-im", "0.35",
                 "--atom-dd", "0.4", "--grid", "0", "60", "1537"]
         monkeypatch.chdir(tmp_path)
         files = {}
-        for points, rows in ((analysis._PASS_POINTS, cli.CSV_CHUNK_ROWS), (512, 7)):
+        for points, csv_size, json_size in ((analysis._PASS_POINTS, cli.CSV_CHUNK_VALUES,
+                                             cli.JSON_CHUNK_VALUES), (512, 7, 7)):
             monkeypatch.setattr(analysis, "_PASS_POINTS", points)
-            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+            monkeypatch.setattr(cli, "CSV_CHUNK_VALUES", csv_size)
+            monkeypatch.setattr(cli, "JSON_CHUNK_VALUES", json_size)
             for fmt in ("csv", "json"):
                 assert cli.main(argv + ["--format", fmt, "--output", f"run.{fmt}"]) == 0
                 files.setdefault(fmt, []).append((tmp_path / f"run.{fmt}").read_bytes())

@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
-from jcsubdyn import _kernels, cli
+from jcsubdyn import _kernels, cli, hilbert
 from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
-from jcsubdyn.hilbert import auto_n_max, poisson_weights
+from jcsubdyn.hilbert import _lower_cut, auto_n_max, poisson_weights
 from jcsubdyn.jcm import JcmParams
 
 CASES = [
@@ -264,6 +264,63 @@ def test_zero_weight_scenarios_span_blocks_and_end_in_a_lone_row():
 def test_zero_weight_sums_keep_their_bytes(index):
     assert _digest(_kernels.channel_sums(*_pinned_args(*ZERO_WEIGHT[index]))) \
         == ZERO_WEIGHT_SHA256[index]
+
+
+# --- the sector window ---------------------------------------------------------
+
+def test_window_starts_at_sector_0_up_to_mean_20():
+    """figure1, the benchmark's oracle run and the JSON pins keep every sector."""
+    assert {_lower_cut(mean) for mean in np.linspace(0.0, 20.0, 401)} == {0}
+    assert [_lower_cut(mean) for mean in (25.0, 40.0, 700.0, 13302.0)] == [1, 6, 515, 12416]
+
+
+def test_full_window_keeps_the_pinned_bytes():
+    """channel_sums from sector 0, asked for, is the call the pins were written by."""
+    assert [_digest(_kernels.channel_sums(*_pinned_args(*case), 0)) for case in PINNED] \
+        == PINNED_SHA256
+
+
+def _dropped_bound(mass, moment, a):
+    """Bounds on the eight channel sums' terms over sectors of Poisson ``mass`` and
+    first moment ``moment``, for |alpha| = ``a`` and a density start: |w|, |v| <= 1,
+    |A_n| <= 1 + sqrt(2), and the C and D terms |alpha|² p(n - 1) |C_n| / sqrt(n (n + 1))
+    and p(n) |D_n| are each at most sqrt(n + 1) p(n) <= (n + 1) p(n)."""
+    return np.array([2.0 * mass, 2.0 * mass, 2.0 * a * mass,
+                     2.5 * a * mass + 2.0 * (moment + mass), moment + (1.0 + 2.0 * a) * mass,
+                     3.5 * mass, 2.0 * (moment + mass), 2.5 * mass])
+
+
+@pytest.mark.parametrize("mean", [700.0, 13302.0])
+def test_window_moves_each_sum_by_at_most_what_its_dropped_sectors_carry(mean):
+    """The windowed sums equal the full-window ones within the dropped sectors' bound
+    (their mass through sector lo covers the p(n + 1) weights) plus the roundoff of
+    summing n_cols terms in another order, n_cols eps times the bound over every sector."""
+    lo, n_max = _lower_cut(mean), auto_n_max(mean)
+    both = poisson_weights(mean, n_max + 1)
+    ts = np.linspace(0.0, 200.0 / 0.02, 20)
+    alpha = math.sqrt(mean) * complex(math.cos(0.4), math.sin(0.4))
+    args = (ts, n_max, 0.1, 0.02, 1.0, both[:-1], both[1:], alpha, 0.6, 0.4, 0.2 - 0.3j)
+    mass, moment = both[:lo + 1].sum(), np.arange(lo) @ both[:lo]
+    assert mass <= 1e-10 and moment <= 5e-11
+    bound = (_dropped_bound(mass, moment, abs(alpha))
+             + (n_max + 2) * np.finfo(float).eps * _dropped_bound(1.0, mean, abs(alpha)))
+    gaps = [np.max(np.abs(win - full)) for win, full in
+            zip(_kernels.channel_sums(*args, lo), _kernels.channel_sums(*args))]
+    assert np.all(gaps <= bound), (gaps, bound)
+
+
+def test_truncation_below_the_window_sums_its_top_sectors(monkeypatch):
+    """At mean 100 the window starts at sector 39; a run truncated at n_max 20 (its
+    tail flagged) sums sectors 19..20, within 1e-10 of all 21."""
+    rho = np.array([[0.6, 0.2 - 0.3j], [0.2 + 0.3j, 0.4]])
+    scenario = Scenario(params=JcmParams(1.0, 0.9, 0.02, 20), atom_init=rho, magnitude=10.0,
+                        grid=(0.0, 50.0, 40))
+    windowed = observable_series(scenario)
+    monkeypatch.setattr(hilbert, "_lower_cut", lambda mean, tail_tol: 0)
+    full = observable_series(scenario).channels
+    assert not windowed.metadata["tail_ok"]
+    for name in ("quasi_a_re", "quasi_a_im", "quasi_n", "sigma_z_mean", "conservation_residual"):
+        assert np.max(np.abs(windowed.channels[name] - full[name])) <= 1e-10, name
 
 
 def test_sums_do_not_depend_on_the_blas_thread_count():

@@ -22,7 +22,8 @@ from conftest import percent_17g, text_mismatch
 from jcsubdyn import _kernels, cli, jcm, subdyn
 from jcsubdyn._csvtext import format_rows
 from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
-from jcsubdyn.hilbert import annihilation, auto_n_max, number_op, pauli_ops, poisson_weights
+from jcsubdyn.hilbert import (_lower_cut, annihilation, auto_n_max, number_op, pauli_ops,
+                              poisson_weights)
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=50,
                           database=None)
@@ -64,6 +65,36 @@ def test_closed_channels_match_oracle(scenario):
     deviations = series.metadata["oracle_deviation"]
     assert set(deviations) == set(ORACLE_CHANNELS)
     assert max(deviations.values()) <= cli.CROSSCHECK_TOL
+
+
+def _windowed_scenario(mean, g, ratio, rho, phase, gt_stop):
+    """An oracle scenario at mean photon number ``mean`` and auto n_max, with
+    (omega - omega0) / g = ``ratio``, 24 points over gt in [0, gt_stop]."""
+    params = jcm.JcmParams(1.0, 1.0 - ratio * g, g, auto_n_max(mean))
+    return Scenario(params=params, atom_init=rho, magnitude=math.sqrt(mean), phase=phase,
+                    grid=(0.0, gt_stop, 24), oracle=True)
+
+
+@st.composite
+def windowed_scenarios(draw):
+    """Means log-uniform in [25, 150], where the closed sums' sector window starts
+    above sector 0: auto n_max <= 234, so the oracle's d <= 470."""
+    return _windowed_scenario(
+        math.exp(draw(st.floats(math.log(25.0), math.log(150.0)))), draw(st.floats(1e-3, 0.1)),
+        draw(st.floats(-30.0, 30.0)), draw(atom_densities()), draw(st.floats(-math.pi, math.pi)),
+        draw(st.floats(1.0, 100.0)))
+
+
+@settings(max_examples=8)
+@example(_windowed_scenario(150.0, 0.02, 30.0, np.array([[0.6, 0.2 - 0.3j], [0.2 + 0.3j, 0.4]]),
+                            0.3, 100.0))
+@given(windowed_scenarios())
+def test_sector_window_matches_oracle(scenario):
+    """The oracle keeps every sector, so it checks the sectors the window drops."""
+    assert _lower_cut(scenario.magnitude ** 2) > 0
+    md = observable_series(scenario).metadata
+    assert md["oracle_deviation_max"] <= cli.CROSSCHECK_TOL
+    assert md["conservation_residual_max"] / max(1.0, abs(md["conservation_lhs"])) <= 1e-8
 
 
 @given(scenarios())
@@ -176,7 +207,7 @@ def _every_term_block(ts, n_max, half_det, g, omega, p, p1, alpha, rho_uu, rho_d
     d_coef = _kernels.dressing_d(v, w, 0, n_max + 1, rho_ud)
     d_sum = _kernels._matvec(d_coef, p)
     qpl_cd = _kernels._matvec(np.abs(d_coef), p)
-    c_coef = _kernels.dressing_c(v, w, 1, n_max, np.conj(rho_ud))
+    c_coef = _kernels.dressing_c(v[:, 1:], w[:, 1:], 1, n_max, np.conj(rho_ud))
     c_sum = _kernels._matvec(c_coef, p[:-2] / np.sqrt(n[1:] * (n[1:] + 1.0)))
     qpl_cd = qpl_cd + _kernels._matvec(np.abs(c_coef), p[1:-1])
     quasi_a = np.exp(-1j * omega * ts) * (alpha * a_sum + alpha * alpha * c_sum + d_sum)
