@@ -527,32 +527,45 @@ class CollapseRevivalFeatures:
 _QUIET_FRACTION = 0.05
 #: Revival: the rolling envelope exceeds this multiple of the collapse floor.
 _REVIVAL_FACTOR = 3.0
-#: Window cells reduced at once by :func:`_rolling`.  Its temporaries stay
-#: at 512 KB however dense the grid; unblocked they are steps x window width.
+#: Window cells of one block of :func:`_rolling`'s means and stds (512 KB), and 8x the
+#: points of one block of its envelope (64 KB arrays), however dense the grid.
 _WINDOW_CELLS = 1 << 16
 
 
 def _moments(seg: np.ndarray, with_std: bool):
-    """Mean, std (None unless ``with_std``) and max |seg - mean| over the last axis.
-
-    ``seg - mean`` is formed once for both; the std takes the reductions
-    ``np.std`` runs on it, so the values are those of ``seg.std(axis=-1)``.
-    """
+    """Mean and std (None unless ``with_std``) over the last axis: the values of
+    ``seg.mean(axis=-1)`` and ``seg.std(axis=-1)``, by the reductions they run."""
     m = seg.mean(axis=-1)
+    if not with_std:
+        return m, None
     d = seg - m[..., None]
-    dev = np.abs(d).max(axis=-1)
-    std = np.sqrt(np.multiply(d, d, out=d).sum(axis=-1) / d.shape[-1]) if with_std else None
-    return m, std, dev
+    return m, np.sqrt(np.multiply(d, d, out=d).sum(axis=-1) / d.shape[-1])
+
+
+def _window_extreme(y: np.ndarray, half: int, lo: int, hi: int, pick, pad: float):
+    """``pick`` (np.maximum or np.minimum) of each ``y[max(0, i - half):i + half + 1]``,
+    lo <= i < hi, in O((hi - lo) log w): spans double over those values, padded with
+    ``pad`` where a window is clamped, and two spans of the widest level cover a window."""
+    n, width, span = len(y), 2 * half + 1, 1
+    ext = np.concatenate((np.full(max(0, half - lo), pad), y[max(0, lo - half):hi + half],
+                          np.full(max(0, hi + half - n), pad)))
+    while 2 * span <= width:
+        ext = pick(ext[:-span], ext[span:])
+        span *= 2
+    return pick(ext[:hi - lo], ext[width - span:width - span + hi - lo])
 
 
 def _rolling(y: np.ndarray, half: int, with_std: bool = True):
     """Centered rolling mean / std / max-deviation with edge clamping.
 
-    Interior points reduce rows of a sliding window view, a bounded number
-    of rows at a time; the ``2 * half`` clamped edge windows are reduced one
-    at a time.  Both use the same numpy reductions on the same segments, so
-    the values do not depend on which branch a point falls in.  The std is
-    None unless ``with_std``.
+    Interior means and stds reduce rows of a sliding window view, a bounded
+    number of rows at a time; the ``2 * half`` clamped edge windows are
+    reduced one at a time.  Both use the same numpy reductions on the same
+    segments, so the values do not depend on which branch a point falls in.
+    The std is None unless ``with_std``.  The max-deviation max|seg - mean|
+    is read from each window's extremes: rounding is monotonic, so it equals
+    max(|max seg - mean|, |min seg - mean|) to the last bit, and the abs on
+    both keeps the +0 that a window of signed zeros gives.
     """
     n = len(y)
     mean = np.empty(n)
@@ -564,13 +577,18 @@ def _rolling(y: np.ndarray, half: int, with_std: bool = True):
         for lo in range(0, len(win), rows):
             block = win[lo:lo + rows]
             out = slice(half + lo, half + lo + len(block))
-            mean[out], sd, dev[out] = _moments(block, with_std)
+            mean[out], sd = _moments(block, with_std)
             if with_std:
                 std[out] = sd
     for i in itertools.chain(range(min(half, n)), range(max(half, n - half), n)):
-        mean[i], sd, dev[i] = _moments(y[max(0, i - half):min(n, i + half + 1)], with_std)
+        mean[i], sd = _moments(y[max(0, i - half):min(n, i + half + 1)], with_std)
         if with_std:
             std[i] = sd
+    for lo in range(0, n, _WINDOW_CELLS // 8):
+        hi = min(n, lo + _WINDOW_CELLS // 8)
+        top, bottom = (np.abs(_window_extreme(y, half, lo, hi, pick, pad) - mean[lo:hi])
+                       for pick, pad in ((np.maximum, -np.inf), (np.minimum, np.inf)))
+        np.maximum(top, bottom, out=dev[lo:hi])
     return mean, std, dev
 
 

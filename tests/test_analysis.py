@@ -582,6 +582,20 @@ def _rolling_loop(y, half):
     return mean, std, dev
 
 
+def _rolling_edge_inputs(rng, half):
+    """Series whose envelope rests on ties and signs: windows of signed zeros only
+    (all +0, all -0, mixed), a constant, runs that repeat each window's extremes,
+    subnormals beside zeros and the smallest normals, and series no longer than
+    one window (n <= 2 * half)."""
+    n = 5 * half + 7
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    runs = np.repeat(rng.integers(-2, 3, n).astype(float), rng.integers(1, 2 * half + 3, n))[:n]
+    tiny = rng.integers(-40, 41, n) * 5e-324
+    tiny[rng.random(n) < 0.2] = 2.2250738585072014e-308
+    return [np.zeros(n), -np.zeros(n), zeros, np.full(n, 0.1), runs, -runs, tiny, tiny * 0.5,
+            np.full(2 * half, -0.0), zeros[:half + 1], runs[:2 * half], rng.standard_normal(1)]
+
+
 def _runs_loop(mask):
     """Per-index reference for ``analysis._runs``."""
     runs, start = [], None
@@ -604,12 +618,14 @@ class TestWindowHelpers:
         # 2*half + 2 points: the two clamped edge ranges overlap in their windows;
         # 4000 points span several row blocks of the window view.  Compared as
         # raw bytes, so a signed zero counts; without the std (the photon
-        # channel's path) the mean and deviation bytes must not change.
+        # channel's path) the mean and deviation bytes must not change.  The edge
+        # inputs follow the random ones.
         def raw(a):
             return a.view(np.uint64)
 
-        for n in (2 * half, 2 * half + 1, 2 * half + 2, 5 * half + 7, 400, 4000):
-            y = rng.standard_normal(n) * rng.uniform(0.1, 10.0) + rng.uniform(-1.0, 1.0)
+        series = [rng.standard_normal(n) * rng.uniform(0.1, 10.0) + rng.uniform(-1.0, 1.0)
+                  for n in (2 * half, 2 * half + 1, 2 * half + 2, 5 * half + 7, 400, 4000)]
+        for y in series + _rolling_edge_inputs(rng, half):
             want = _rolling_loop(y, half)
             for got, ref in zip(analysis._rolling(y, half), want):
                 assert np.array_equal(raw(got), raw(ref))
@@ -617,6 +633,32 @@ class TestWindowHelpers:
             assert std is None
             assert np.array_equal(raw(mean), raw(want[0]))
             assert np.array_equal(raw(dev), raw(want[2]))
+
+    @pytest.mark.parametrize("cells", [8, 64, 1000])
+    def test_rolling_blocks_move_no_bit(self, rng, monkeypatch, cells):
+        # envelope blocks of 1, 8 and 125 points; mean blocks of one row up to a few dozen
+        monkeypatch.setattr(analysis, "_WINDOW_CELLS", cells)
+        for half in (1, 7, 40):
+            for n in (2 * half, 2 * half + 1, 300):
+                y = rng.standard_normal(n)
+                for got, ref in zip(analysis._rolling(y, half), _rolling_loop(y, half)):
+                    assert got.tobytes() == ref.tobytes()
+
+    def test_rolling_nan_matches_loop(self, rng):
+        # a window holding a NaN gives NaN in all three; every other window keeps its bytes
+        half = 5
+        y = rng.standard_normal(200)
+        y[[0, 37, 38, 120, 199]] = np.nan
+        want = _rolling_loop(y, half)
+        assert np.isnan(want[0]).sum() == 35  # 6 + 12 + 11 + 6 windows
+        for with_std in (True, False):
+            got = analysis._rolling(y, half, with_std)
+            for g, ref in zip(got, want):
+                if g is None:
+                    continue
+                assert np.array_equal(np.isnan(g), np.isnan(ref))
+                ok = ~np.isnan(ref)
+                assert np.array_equal(g[ok].view(np.uint64), ref[ok].view(np.uint64))
 
     def test_runs_match_loop(self, rng):
         masks = [np.ones(17, bool), np.zeros(17, bool), np.zeros(0, bool),

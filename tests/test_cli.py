@@ -530,6 +530,22 @@ class TestCsvText:
             assert text_mismatch(text[-len(want):], want) is None
         assert len({text[:-len(want)] for text in texts}) == 1
 
+    def test_one_block_allocates_a_few_times_its_text(self):
+        """A 4096-value block makes about 0.1 MB of text.  Each intermediate table
+        is freed once read, so formatting it peaks near 0.53 MB; kept to the end
+        they took 0.87 MB."""
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((2048, 2)) * 10.0 ** rng.integers(-30, 30, (2048, 2))
+        want = percent_17g(block)
+        tracemalloc.start()
+        try:
+            text = _csvtext.format_rows(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text_mismatch(text, want) is None
+        assert peak < 0.6e6, f"peak traced allocation {peak / 1e6:.2f} MB"
+
 
 class TestStreamedWriters:
     """Both writers stream: each string handed to the file holds a few rows."""
@@ -538,7 +554,8 @@ class TestStreamedWriters:
     def test_writer_allocates_a_few_rows_for_a_long_series(self, tmp_path, fmt, points):
         """gt and three channels: at 100k points the whole CSV table alone is 3.2 MB,
         and at 10k points the JSON text of the channels 0.75 MB.  A CSV string of
-        CSV_CHUNK_VALUES = 4096 values is formatted in about 0.9 MB."""
+        CSV_CHUNK_VALUES = 4096 values is formatted in about 0.53 MB; the whole
+        CSV write peaks near 0.57 MB."""
         from jcsubdyn.jcm import JcmParams
 
         scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
@@ -553,7 +570,7 @@ class TestStreamedWriters:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        limit = {"csv": 1.2e6, "json": 0.4e6}[fmt]
+        limit = {"csv": 0.75e6, "json": 0.4e6}[fmt]
         assert peak < limit, f"peak traced allocation {peak / 1e6:.2f} MB"
 
     def test_passes_and_chunks_move_no_byte(self, tmp_path, monkeypatch):

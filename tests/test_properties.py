@@ -1,7 +1,8 @@
 """Invariants on random parameters, checked against the brute-force oracle, the
 effective operators and the pristine limits; the channel sums of zero-weight
-starts, checked bitwise against every term evaluated; and the CSV number text
-on random doubles, checked against ``'%.17g'``.
+starts, checked bitwise against every term evaluated; the CSV number text on
+random doubles, checked against ``'%.17g'``; and the rolling window statistics
+on random doubles, checked bitwise against their per-index loop.
 
 Examples are drawn by Hypothesis under a derandomised profile, so every run
 draws the same ones.  Without Hypothesis installed the module is skipped.
@@ -19,11 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import percent_17g, text_mismatch
-from jcsubdyn import _kernels, cli, jcm, subdyn
+from jcsubdyn import _kernels, analysis, cli, jcm, subdyn
 from jcsubdyn._csvtext import format_rows
 from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
 from jcsubdyn.hilbert import (_lower_cut, annihilation, auto_n_max, number_op, pauli_ops,
                               poisson_weights)
+from test_analysis import _rolling_loop
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=50,
                           database=None)
@@ -269,3 +271,13 @@ def raw_double_blocks(draw):
 @given(raw_double_blocks())
 def test_csv_text_is_percent_17g_on_raw_bit_patterns(block):
     assert text_mismatch(format_rows(block), percent_17g(block)) is None
+
+
+@given(raw_double_blocks().map(np.ravel), st.integers(1, 40))
+def test_rolling_is_its_loop_on_raw_bit_patterns(y, half):
+    # huge values overflow the window sums to ±inf or NaN in both, with the same bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _rolling_loop(y, half)
+        for with_std in (True, False):
+            for got, ref in zip(analysis._rolling(y, half, with_std), want):
+                assert got is None or got.tobytes() == ref.tobytes()
