@@ -45,9 +45,9 @@ from .subdyn import CrossCheckError
 
 __all__ = ["main", "run_scenario", "emit_output"]
 
-#: Values formatted per string handed to the file, so the text of a long grid is
-#: never held whole.  A CSV string holds CSV_CHUNK_VALUES // columns rows (315 at
-#: figure1's 13 columns): the CSV formatter cost 1.4 times as much a value in strings
+#: Values formatted per piece handed to the file, so the text of a long grid is
+#: never held whole.  A CSV piece holds CSV_CHUNK_VALUES // columns rows (315 at
+#: figure1's 13 columns): the CSV formatter cost 1.4 times as much a value in pieces
 #: of 256 two-column rows.  A JSON piece's ``repr`` calls cost the same at any size.
 CSV_CHUNK_VALUES = 4096
 JSON_CHUNK_VALUES = 256
@@ -239,7 +239,7 @@ def _resolve(cfg: dict, tail_tol: float):
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write the strings of ``chunks`` to ``path`` through a temporary file."""
+    """Write the bytes and strings (UTF-8) of ``chunks`` to ``path`` through a temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         try:  # the mode open(path, "w") gives: the file's own, or 0o666 less the umask
@@ -249,8 +249,8 @@ def _atomic_write(path: str, chunks) -> None:
         tmp = os.path.join(directory, f".jcsubdyn-{os.urandom(8).hex()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(chunks)
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(c if isinstance(c, bytes) else c.encode("utf-8") for c in chunks)
             if mode is not None:
                 os.chmod(tmp, mode)
             os.replace(tmp, path)
@@ -265,11 +265,13 @@ def _atomic_write(path: str, chunks) -> None:
 
 
 def _csv_chunks(head: str, columns):
-    """``head``, then the columns as ``'%.17g'`` CSV text, ``CSV_CHUNK_VALUES`` values a string."""
+    """``head``, then the columns as ``'%.17g'`` CSV bytes, ``CSV_CHUNK_VALUES`` values a piece."""
     yield head
-    rows = max(1, CSV_CHUNK_VALUES // len(columns))
-    for start in range(0, len(columns[0]), rows):
-        yield format_rows(np.column_stack([c[start:start + rows] for c in columns]))
+    rows, size = max(1, CSV_CHUNK_VALUES // len(columns)), len(columns[0])
+    block = np.empty((min(rows, size), len(columns)))  # one buffer for every piece
+    for start in range(0, size, rows):
+        part = block[:size - start]
+        yield format_rows(np.stack([c[start:start + rows] for c in columns], 1, out=part))
 
 
 def _require_finite(fmt: str, columns) -> None:

@@ -483,33 +483,71 @@ def _edge_doubles():
     """Doubles at the edges of the '%.17g' layout and of its rounding."""
     tiny = 2.2250738585072014e-308
     values = [0.0, 5e-324, tiny, np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0),
-              1.7976931348623157e308,
-              # exact ties at the 18th digit whose 17th digit is odd: they round up
-              0.00010061264038085938, 1.0251998901367188e-05, 1.3113021850585938e-06]
-    for k in range(-20, 21):  # crosses the fixed/scientific switches at 1e-4/1e-5 and 1e16/1e17
-        values += [10.0 ** k, np.nextafter(10.0 ** k, 0.0), np.nextafter(10.0 ** k, math.inf)]
+              1.2345678901234567e-310, 4.9406564584124654e-322, 1.7976931348623157e308,
+              np.nextafter(1.7976931348623157e308, 0.0),
+              # exact ties at the 18th digit: an odd 17th digit rounds up, an even one down
+              0.00010061264038085938, 1.0251998901367188e-05, 1.3113021850585938e-06,
+              # and ties where 10^(16-e) is not a double (e = -7, -8)
+              *(m * 2.0 ** -24 for m in range(3, 17, 2)), 2.0 ** -25, 3 * 2.0 ** -25]
+    # every power of ten and its neighbours: the fixed/scientific switches at 1e-4/1e-5
+    # and 1e16/1e17, and the digits that log10 puts one decade off
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+    # around the ends of the power-of-ten table (|e| <= 280)
+    for k in range(279, 283):
+        values += [float(f"{m}e{sign}{k}") for sign in "+-"
+                   for m in ("1.5", "3.0000000000000004", "9.876543210987654")]
     values += [2.0 ** k for k in range(-1074, 1024)]
     return np.array(values + [-v for v in values])
+
+
+def _count_exact_path(monkeypatch):
+    """A list that gets the number of values of each later '%.16e' call of the CSV digits."""
+    taken, exact = [], _csvtext._exact
+
+    def counted(values):
+        taken.append(len(values))
+        return exact(values)
+
+    monkeypatch.setattr(_csvtext, "_exact", counted)
+    return taken
 
 
 class TestCsvText:
     """The CSV number text is '%.17g' to the byte, whatever path gives a value its digits."""
 
+    @pytest.mark.filterwarnings("error")  # no floating-point warning reaches the CLI's stderr
     def test_edge_values(self):
         values = _edge_doubles()
         for cols in (1, 7):
             block = values[:len(values) // cols * cols].reshape(-1, cols)
-            assert text_mismatch(_csvtext.format_rows(block), percent_17g(block)) is None
+            text = _csvtext.format_rows(block).decode()
+            assert text_mismatch(text, percent_17g(block)) is None
 
     def test_scaled_random_values(self):
         rng = np.random.default_rng(17)
         block = rng.standard_normal((3000, 7)) * 10.0 ** rng.integers(-30, 30, (3000, 7))
-        assert text_mismatch(_csvtext.format_rows(block), percent_17g(block)) is None
+        assert text_mismatch(_csvtext.format_rows(block).decode(), percent_17g(block)) is None
 
     def test_exact_path_alone_gives_the_same_bytes(self, monkeypatch):
-        monkeypatch.setattr(_csvtext, "_WINDOW", np.full_like(_csvtext._WINDOW, np.inf))
-        block = _edge_doubles().reshape(-1, 10)
-        assert text_mismatch(_csvtext.format_rows(block), percent_17g(block)) is None
+        monkeypatch.setattr(_csvtext, "_TIE", np.inf)  # every non-zero value is a tie
+        taken, values, nonzero = _count_exact_path(monkeypatch), _edge_doubles(), 0
+        for cols in (1, 7):
+            block = values[:len(values) // cols * cols].reshape(-1, cols)
+            text = _csvtext.format_rows(block).decode()
+            assert text_mismatch(text, percent_17g(block)) is None
+            nonzero += np.count_nonzero(block)
+        assert sum(taken) == nonzero
+
+    def test_figure1_values_rarely_take_the_exact_path(self, tmp_path, monkeypatch):
+        """The double-double digits decide all but a handful of figure1's 78 000
+        values; the long-double digits they replaced sent 588 to '%.16e'."""
+        repo_config = os.path.join(os.path.dirname(__file__), "..", "configs", "figure1.json")
+        taken = _count_exact_path(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--config", os.path.abspath(repo_config)]) == 0
+        assert sum(taken) <= 10
 
     def test_bytes_do_not_depend_on_chunk_rows(self, tmp_path, monkeypatch):
         from jcsubdyn.jcm import JcmParams
@@ -532,8 +570,7 @@ class TestCsvText:
 
     def test_one_block_allocates_a_few_times_its_text(self):
         """A 4096-value block makes about 0.1 MB of text.  Each intermediate table
-        is freed once read, so formatting it peaks near 0.53 MB; kept to the end
-        they took 0.87 MB."""
+        is freed once read, so formatting it peaks near 0.37 MB."""
         rng = np.random.default_rng(5)
         block = rng.standard_normal((2048, 2)) * 10.0 ** rng.integers(-30, 30, (2048, 2))
         want = percent_17g(block)
@@ -543,7 +580,7 @@ class TestCsvText:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert text_mismatch(text, want) is None
+        assert text_mismatch(text.decode(), want) is None
         assert peak < 0.6e6, f"peak traced allocation {peak / 1e6:.2f} MB"
 
 
@@ -554,8 +591,8 @@ class TestStreamedWriters:
     def test_writer_allocates_a_few_rows_for_a_long_series(self, tmp_path, fmt, points):
         """gt and three channels: at 100k points the whole CSV table alone is 3.2 MB,
         and at 10k points the JSON text of the channels 0.75 MB.  A CSV string of
-        CSV_CHUNK_VALUES = 4096 values is formatted in about 0.53 MB; the whole
-        CSV write peaks near 0.57 MB."""
+        CSV_CHUNK_VALUES = 4096 values is formatted in about 0.37 MB; the whole
+        CSV write peaks near 0.49 MB."""
         from jcsubdyn.jcm import JcmParams
 
         scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),

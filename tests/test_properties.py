@@ -270,7 +270,7 @@ def raw_double_blocks(draw):
 
 @given(raw_double_blocks())
 def test_csv_text_is_percent_17g_on_raw_bit_patterns(block):
-    assert text_mismatch(format_rows(block), percent_17g(block)) is None
+    assert text_mismatch(format_rows(block).decode(), percent_17g(block)) is None
 
 
 @given(raw_double_blocks().map(np.ravel), st.integers(1, 40))
