@@ -66,17 +66,17 @@ __all__ = [
 #: Most grid points per block, here and in the oracle's evolved states.
 T_BLOCK = 512
 #: Most table cells (grid points x sectors) per block of :func:`channel_sums`:
-#: 512 rows up to n_max 62, 256 up to 126, 128 up to 254.  A block's tables
-#: live in its worker's workspace, at most 2 MiB at this budget, so a taller
+#: 512 rows up to n_max 126, 256 up to 254, 128 up to 510.  A block's tables
+#: live in its worker's workspace, at most 4 MiB at this budget, so a taller
 #: block allocates no table; it only halves the numpy calls, and with them the
 #: GIL handoffs between the two workers, per grid point.
-BLOCK_CELLS = 1 << 15
+BLOCK_CELLS = 1 << 16
 #: A grid's last row goes alone where blocks of this many cells leave it alone.
 LONE_ROW_CELLS = 1 << 14
-#: Every matrix-vector product of a block runs in row chunks of fewer bytes
-#: than this.  OpenBLAS runs a product on one thread below 4096 complex
-#: (64 KiB) or 9216 real (72 KiB) cells; above, it hands part of it to its
-#: pool thread, which then spins on the core the second block worker needs.
+#: A block's complex matrix-vector products run in row chunks of fewer bytes
+#: than this.  OpenBLAS hands a complex product of 4096 cells (64 KiB) or more
+#: to its pool thread, which then spins on the core the second block worker
+#: needs.  It runs a real product of up to BLOCK_CELLS cells on one thread.
 MATVEC_BYTES = 1 << 16
 
 
@@ -111,14 +111,14 @@ def _table(ws, name: str, shape) -> np.ndarray:
 
 
 def _matvec(m, x):
-    """``m @ x``, for a 2-D ``m`` in row chunks of fewer than ``MATVEC_BYTES``.
+    """``m @ x``; for a complex 2-D ``m``, in row chunks of fewer than ``MATVEC_BYTES``.
 
     A chunk is a power of two rows, at least four, so each row sits where the
     BLAS kernel's row groups put it in the whole product.  A lone last row
     joins the chunk before it: numpy takes a one-row product through a dot
     kernel, which rounds differently from the matrix-vector one.
     """
-    if m.ndim != 2:
+    if m.ndim != 2 or m.dtype.kind != "c":
         return m @ x
     rows, row_bytes = m.shape[0], m.shape[1] * m.itemsize
     step = 4

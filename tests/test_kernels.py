@@ -86,11 +86,82 @@ def test_corr_tables_bytes_match_literal_assembly(half_det, g):
 
 def test_block_rows_halve_to_the_cell_budget():
     assert _kernels.block_rows(3) == _kernels.T_BLOCK == 512
-    cols = (64, 65, 88, 128, 129, 1002)
-    assert [_kernels.block_rows(c) for c in cols] == [512, 256, 256, 256, 128, 32]
+    cols = (88, 128, 129, 256, 257, 1002)
+    assert [_kernels.block_rows(c) for c in cols] == [512, 512, 256, 256, 128, 64]
     assert _kernels.block_rows(_kernels.BLOCK_CELLS + 1) == 1
-    assert [_kernels.block_rows(c, _kernels.LONE_ROW_CELLS) for c in cols] == [256, 128, 128, 128,
-                                                                               64, 16]
+    assert [_kernels.block_rows(c, _kernels.LONE_ROW_CELLS) for c in cols] == [128, 128, 64, 64,
+                                                                               32, 16]
+
+
+def _matvec_calls(m, x):
+    """``_matvec(m, x)`` and the shapes of the tables its np.matmul calls took."""
+    shapes = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            shapes.append(inputs[0].shape)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(out) for out in kwargs["out"])
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    return np.asarray(_kernels._matvec(m.view(Counted), x)), shapes
+
+
+# powers of two, a lone row after them, other tails, and one row alone
+@pytest.mark.parametrize("rows", [1, 5, 32, 33, 64, 65, 129, 161, 417, 512])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_matvec_is_one_product_bitwise(rng, dtype, rows):
+    """_matvec(m, x) is bytewise one m @ x (one OpenBLAS thread), for tables of
+    38, 82 and 88 columns.  A real table goes to BLAS whole; a complex one in
+    equal power-of-two chunks under MATVEC_BYTES, a lone last row joining the
+    chunk before it."""
+    for cols in (38, 82, 88):
+        m = rng.standard_normal((rows, cols)).astype(dtype)
+        if m.dtype.kind == "c":
+            m.imag = rng.standard_normal((rows, cols))
+        x = rng.standard_normal(cols)
+        got, shapes = _matvec_calls(m, x)
+        want = m @ x
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert sum(r for r, _ in shapes) == rows
+        if m.dtype.kind == "f" or len(shapes) == 1:
+            assert shapes == [m.shape]
+            continue
+        step = shapes[0][0]
+        assert step & (step - 1) == 0 and step * cols * m.itemsize < _kernels.MATVEC_BYTES
+        assert all(r == step for r, _ in shapes[1:-1]) and 2 <= shapes[-1][0] <= step + 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_one_worker_leaves_the_blas_pool_thread_idle():
+    """At two OpenBLAS threads, one block worker reducing a sweep-shape grid
+    (n_max 86 from sector 6, a mixed start, four 512-row blocks, 20 calls)
+    hands no product to OpenBLAS's pool thread: threads other than the caller
+    take at most 0.02 s of CPU time.  A complex product of 4096 cells or more
+    would wake it: with complex chunks of 128 KiB they take 0.3-0.9 s (2-vCPU Xeon)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__),
+                                           os.environ.get("PYTHONPATH", "")]))
+    code = ("import os, threading, test_kernels as tk\n"
+            "from jcsubdyn import _kernels\n"
+            "_kernels._block_workers = lambda n_blocks: 1\n"
+            "def others():\n"
+            "    me, ticks = threading.get_native_id(), 0\n"
+            "    for tid in os.listdir('/proc/self/task'):\n"
+            "        if int(tid) != me:\n"
+            "            with open(f'/proc/self/task/{tid}/stat') as f:\n"
+            "                ticks += sum(map(int, f.read().rsplit(')', 1)[1].split()[11:13]))\n"
+            "    return ticks / os.sysconf('SC_CLK_TCK')\n"
+            "args = tk._pinned_args(-0.19, 0.02, 86, 40.0, 0.9, 0.24 + 0.13j, 2048)\n"
+            "before = others()\n"
+            "for _ in range(20):\n"
+            "    _kernels.channel_sums(*args, 6)\n"
+            "print(others() - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 0.02, f"{float(proc.stdout):.2f} s on other threads"
 
 
 # 1673 leaves a partial last block and 2048 fills whole blocks, for blocks of
@@ -152,13 +223,14 @@ def test_smallest_truncation_ends(tmp_path):
 
 # (half_det, g, n_max, mean, rho_uu, rho_ud, steps); each starts the atom in a
 # superposition, so C_n and D_n reach quasi_a and qpl_cd (figure1 starts in
-# |up>, where the block skips them: these pins alone carry them).  At n_max 86
-# the last 256-row block holds 161 rows, whose last complex product chunk
-# holds 32 rows and a lone row; at n_max 36 the last 512-row block holds 129,
-# a lone row after both the real (128-row) and the complex (64-row) chunks;
-# at n_max 20 the last 512-row block holds a single grid point.  The last two,
-# at n_max 86, end in an 88-row block after two 256-row ones, and in a lone
-# row that follows two 256-row blocks and a 128-row one.
+# |up>, where the block skips them: these pins alone carry them).  Each is
+# reduced at two cell budgets (BUDGETS).  At n_max 86 the first grid's last
+# block holds 417 rows (161 at 1 << 15), whose last complex product chunk holds
+# 32 rows and a lone row; at n_max 36 the last 512-row block holds 129, a lone
+# row after the complex (64-row) chunks; at n_max 20 the last 512-row block
+# holds a single grid point.  The last two, at n_max 86, end in an 88-row block
+# after a 512-row one (two 256-row ones), and in a lone row that follows a
+# 512-row block and a 128-row one (two 256-row blocks and a 128-row one).
 PINNED = [
     (-0.19, 0.02, 86, 40.0, 0.9, 0.24 + 0.13j, 417),
     (0.15, 0.02, 36, 10.0, 0.6, -0.3 + 0.35j, 641),
@@ -195,31 +267,49 @@ def _digest(sums):
     return h.hexdigest()
 
 
+#: The cell budgets every pin is reduced at: the default and 1 << 15, whose
+#: 256-row blocks at n_max 86 keep the partial blocks the pins were chosen for.
+BUDGETS = (_kernels.BLOCK_CELLS, 1 << 15)
+#: A pin that spans two blocks at either budget, for the two-worker tests.
+TWO_BLOCKS = PINNED[3]
+
+
 def pinned_digests():
     """Digests of channel_sums over the PINNED scenarios (also run in a subprocess)."""
     return [_digest(_kernels.channel_sums(*_pinned_args(*case))) for case in PINNED]
 
 
 def test_pinned_scenarios_reach_their_chunk_shapes():
-    rows = [_kernels.block_rows(case[2] + 2) for case in PINNED]
-    assert rows == [256, 512, 512, 256, 256]
-    assert [case[-1] % r for case, r in zip(PINNED, rows)] == [161, 129, 1, 88, 129]
+    shapes = {1 << 16: ([512] * 5, [417, 129, 1, 88, 129]),
+              1 << 15: ([256, 512, 512, 256, 256], [161, 129, 1, 88, 129])}
+    assert set(shapes) == set(BUDGETS)
+    for cells, (want_rows, want_last) in shapes.items():
+        rows = [_kernels.block_rows(case[2] + 2, cells) for case in PINNED]
+        assert rows == want_rows
+        assert [case[-1] % r for case, r in zip(PINNED, rows)] == want_last
+    # complex products run in chunks of 32 rows at 88 columns and 64 at 38
+    assert [_matvec_calls(np.zeros((rows, cols), complex), np.zeros(cols))[1][-2:]
+            for rows, cols in ((417, 88), (161, 88), (129, 38))] \
+        == [[(32, 88), (33, 88)], [(32, 88), (33, 88)], [(64, 38), (65, 38)]]
     # the last goes alone, as blocks of LONE_ROW_CELLS leave it
     assert PINNED[-1][-1] % _kernels.block_rows(88, _kernels.LONE_ROW_CELLS) == 1
 
 
 @pytest.mark.parametrize("index", range(len(PINNED)))
-def test_mixed_start_sums_keep_their_bytes(index):
+def test_mixed_start_sums_keep_their_bytes(monkeypatch, index):
     args = _pinned_args(*PINNED[index])
-    got = _kernels.channel_sums(*args)
-    digest = _digest(got)
-    if digest != PINNED_SHA256[index]:
-        # a libm or BLAS difference moves every output by roundoff only
-        whole = _kernels._channel_sums_block(*args)
-        names = ("s1z", "s2z", "s3z", "quasi_a", "quasi_n", "qpl_dev", "qpl_cd", "qpl_abs_a")
-        pytest.fail(f"sha256 {digest} != {PINNED_SHA256[index]}; max |blocked - one table| "
-                    + ", ".join(f"{name}={np.max(np.abs(a - b)):.2e}"
-                                for name, a, b in zip(names, got, whole)))
+    for cells in BUDGETS:
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", cells)
+        got = _kernels.channel_sums(*args)
+        digest = _digest(got)
+        if digest != PINNED_SHA256[index]:
+            # a libm or BLAS difference moves every output by roundoff only
+            whole = _kernels._channel_sums_block(*args)
+            names = ("s1z", "s2z", "s3z", "quasi_a", "quasi_n", "qpl_dev", "qpl_cd", "qpl_abs_a")
+            pytest.fail(f"sha256 {digest} != {PINNED_SHA256[index]} at {cells} cells; "
+                        "max |blocked - one table| "
+                        + ", ".join(f"{name}={np.max(np.abs(a - b)):.2e}"
+                                    for name, a, b in zip(names, got, whole)))
 
 
 # --- pinned bytes of the zero-weight starts ----------------------------------
@@ -228,8 +318,9 @@ def test_mixed_start_sums_keep_their_bytes(index):
 # weight of exactly 0, whose terms the block skips: |up>, |down>,
 # diag(0.6, 0.4), and |up> at alpha = 0, where alpha * a_sum has -0 parts that
 # the skipped terms would turn into +0.  Each grid but the fifth ends in a lone
-# row: the third after a 256-row block and a 128-row one, the others after
-# full blocks; the fifth ends in a 188-row block after two 256-row ones.
+# row: the third after a 384-row block (a 256-row block and a 128-row one at
+# 1 << 15), the others after full blocks; the fifth ends in a 188-row block
+# after a 512-row one (two 256-row ones).
 ZERO_WEIGHT = [
     (0.075, 0.02, 36, 10.0, 1.0, 0j, 1537),
     (-0.11, 0.03, 20, 6.0, 0.0, 0j, 1025),
@@ -251,9 +342,14 @@ ZERO_WEIGHT_SHA256 = [
 
 
 def test_zero_weight_scenarios_span_blocks_and_end_in_a_lone_row():
-    rows = [_kernels.block_rows(case[2] + 2) for case in ZERO_WEIGHT]
-    assert all(case[-1] > r for case, r in zip(ZERO_WEIGHT, rows))
-    assert [case[-1] % r for case, r in zip(ZERO_WEIGHT, rows)] == [1, 1, 129, 1, 188, 1]
+    last = {1 << 16: [1, 1, 385, 1, 188, 1], 1 << 15: [1, 1, 129, 1, 188, 1]}
+    assert set(last) == set(BUDGETS)
+    for cells, want in last.items():
+        rows = [_kernels.block_rows(case[2] + 2, cells) for case in ZERO_WEIGHT]
+        # the third is one block but for its lone row at the default budget
+        assert [case[-1] > r for case, r in zip(ZERO_WEIGHT, rows)] \
+            == [True, True, cells < 1 << 16, True, True, True]
+        assert [case[-1] % r for case, r in zip(ZERO_WEIGHT, rows)] == want
     # the third ends in a lone row as blocks of LONE_ROW_CELLS leave it
     lone = [case[-1] % _kernels.block_rows(case[2] + 2, _kernels.LONE_ROW_CELLS) == 1
             for case in ZERO_WEIGHT]
@@ -261,9 +357,11 @@ def test_zero_weight_scenarios_span_blocks_and_end_in_a_lone_row():
 
 
 @pytest.mark.parametrize("index", range(len(ZERO_WEIGHT)))
-def test_zero_weight_sums_keep_their_bytes(index):
-    assert _digest(_kernels.channel_sums(*_pinned_args(*ZERO_WEIGHT[index]))) \
-        == ZERO_WEIGHT_SHA256[index]
+def test_zero_weight_sums_keep_their_bytes(monkeypatch, index):
+    for cells in BUDGETS:
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", cells)
+        assert _digest(_kernels.channel_sums(*_pinned_args(*ZERO_WEIGHT[index]))) \
+            == ZERO_WEIGHT_SHA256[index], f"at {cells} cells"
 
 
 # --- the sector window ---------------------------------------------------------
@@ -419,7 +517,7 @@ def test_two_workers_match_one_bitwise(monkeypatch):
 def test_no_thread_outlives_the_call(monkeypatch):
     _force_workers(monkeypatch, 2)
     before = threading.active_count()
-    _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+    _kernels.channel_sums(*_pinned_args(*TWO_BLOCKS))
     assert threading.active_count() == before
 
 
@@ -430,7 +528,7 @@ def test_helper_block_error_reaches_the_caller(monkeypatch):
     _in_helper_block(monkeypatch, fail)
     before = threading.active_count()
     with pytest.raises(ValueError, match="raised in a helper block"):
-        _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+        _kernels.channel_sums(*_pinned_args(*TWO_BLOCKS))
     assert threading.active_count() == before
 
 
@@ -447,7 +545,7 @@ def test_caller_block_error_propagates_when_every_block_raises(monkeypatch):
     monkeypatch.setattr(_kernels, "_channel_sums_block", block)
     before = threading.active_count()
     with pytest.raises(ValueError, match="raised on the caller"):
-        _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+        _kernels.channel_sums(*_pinned_args(*TWO_BLOCKS))
     assert threading.active_count() == before
 
 
@@ -458,30 +556,30 @@ def _overflow():
 def test_helper_block_keeps_the_callers_raise_errstate(monkeypatch):
     _in_helper_block(monkeypatch, _overflow)
     with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+        _kernels.channel_sums(*_pinned_args(*TWO_BLOCKS))
 
 
 def test_helper_block_keeps_the_callers_ignore_errstate(monkeypatch):
     _in_helper_block(monkeypatch, _overflow)
     with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _kernels.channel_sums(*_pinned_args(*PINNED[0]))
+        _kernels.channel_sums(*_pinned_args(*TWO_BLOCKS))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sweep_scale_blocks_match_the_oracle(monkeypatch):
-    """|alpha|² = 40 (n_max 86, the sweep's truncation) on 400 points: a
-    256-row block, the sweep's block shape, and a 144-row one, reduced by both
+    """|alpha|² = 40 (n_max 86, the sweep's truncation) on 656 points: a
+    512-row block, the sweep's block shape, and a 144-row one, reduced by both
     workers."""
     _force_workers(monkeypatch, 2)
     g, ratio = 0.02, 9.5
     n_max = auto_n_max(40.0)
-    assert n_max == 86 and 400 > _kernels.block_rows(n_max + 2) == 256
+    assert n_max == 86 and 656 - 144 == _kernels.block_rows(n_max + 2 - _lower_cut(40.0)) == 512
     theta, phi = 0.6, 5.8
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     rho = np.array([[c * c, c * s * np.exp(-1j * phi)], [c * s * np.exp(1j * phi), s * s]])
     scenario = Scenario(params=JcmParams(1.0, 1.0 - ratio * g, g, n_max), atom_init=rho,
-                        magnitude=math.sqrt(40.0), grid=(0.0, 200.0, 400), oracle=True)
+                        magnitude=math.sqrt(40.0), grid=(0.0, 200.0, 656), oracle=True)
     deviations = observable_series(scenario).metadata["oracle_deviation"]
     assert set(deviations) == set(ORACLE_CHANNELS)
     assert max(deviations.values()) <= cli.CROSSCHECK_TOL
