@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels, hilbert, jcm, subdyn
-from .numerics import UNITARY_TOL, max_abs, require_hermitian, unitarity_defect
+from .numerics import UNITARY_TOL, max_abs, unitarity_defect
 
 __all__ = [
     "Scenario",
@@ -134,8 +134,6 @@ class Scenario:
             raise ValueError(f"the oracle's phase ‖H‖ x time {h_bound * t_max:.3g} exceeds "
                              f"MAX_PHASE / {ORACLE_PHASE_SAFETY:g} (shorten the grid)")
         object.__setattr__(self, "atom_init", hilbert.require_atom_density(self.atom_init))
-        if self.oracle:  # the Kraus route's eigh reads one triangle of the weighting state
-            require_hermitian(self.atom_init, what="the oracle's atom start")
         if self.magnitude < 0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude!r}")
         if not math.isfinite(self.magnitude * self.magnitude):
@@ -232,9 +230,6 @@ def _closed_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
     }
 
 
-#: Per-point state check of the oracle: max gap of the evolved norms from
-#: their t = 0 value and of the up/down overlap from 0.
-_STATE_TOL = 1e-10
 #: Indices at which the oracle also runs both Heisenberg routes: both ends of a pass.
 _HEISENBERG_POINTS = (0, -1)
 
@@ -282,8 +277,9 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
     channel is an expectation value in psi_s(t) = U(t)|alpha, s>.  One
     eigendecomposition per call, checked once, evolves both states a block
     of ``_kernels.T_BLOCK`` points at a time.  At every point their norms and
-    overlap are checked (``_STATE_TOL``); at ``_HEISENBERG_POINTS`` of ``gts``
-    both effective-operator routes run as well and their channel values must
+    overlap are checked, U†U = I seen through the two start kets
+    (``UNITARY_TOL``); at ``_HEISENBERG_POINTS`` of ``gts`` both
+    effective-operator routes run as well and their channel values must
     match (``subdyn.ROUTE_TOL``, the gap the two routes keep between them).
     """
     p = scenario.params
@@ -310,10 +306,10 @@ def _oracle_channels(scenario: Scenario, coh: hilbert.CoherentState, lhs: float,
         defect = np.maximum(np.abs(np.diagonal(gram, axis1=1, axis2=2) - norm0).max(axis=1),
                             np.abs(gram[:, hilbert.UP, hilbert.DOWN]))
         worst = int(np.argmax(defect))
-        if not defect[worst] <= _STATE_TOL:
+        if not defect[worst] <= UNITARY_TOL:
             raise subdyn.CrossCheckError(
                 f"evolved states lose norm or orthogonality at gt = {gts[lo + worst]:g}: "
-                f"defect {defect[worst]:.3e} (> {_STATE_TOL:.1e})")
+                f"defect {defect[worst]:.3e} (> {UNITARY_TOL:.1e})")
 
     rho_photon = coh.density()
     atom_factors = subdyn._weight_factors(rho_atom)

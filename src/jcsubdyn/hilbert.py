@@ -51,8 +51,8 @@ ATOM_DIM = 2
 #: Truncation is considered faithful when the coherent tail mass stays below this.
 DEFAULT_TAIL_TOL = 1e-10
 
-#: Gap a density matrix may show in Hermiticity, in unit trace and below zero
-#: in its eigenvalues.
+#: Gap a density matrix may show in unit trace and below zero in its eigenvalues
+#: (its Hermiticity is held to ``numerics.HERMITIAN_RTOL``).
 _DENSITY_TOL = 1e-10
 #: Largest truncation :func:`auto_n_max` searches.
 _AUTO_N_MAX_LIMIT = 100000
@@ -228,7 +228,7 @@ def coherent_state(magnitude: float, phase: float, space: FockSpace) -> Coherent
             amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1.0)
     else:
         ns = np.arange(space.dim)
-        logmag = -mean / 2.0 + np.where(ns > 0, ns * math.log(max(magnitude, 1e-300)), 0.0)
+        logmag = -mean / 2.0 + ns * math.log(magnitude)
         logmag -= 0.5 * np.array([math.lgamma(n + 1.0) for n in ns])
         amps = np.exp(logmag) * np.exp(1j * phase * ns)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
@@ -277,7 +277,7 @@ def partial_trace(rho: np.ndarray, over: str) -> np.ndarray:
 
 def require_density(rho: np.ndarray, what: str = "density matrix") -> np.ndarray:
     """Validate Hermiticity, unit trace and positive semidefiniteness."""
-    rho = require_hermitian(np.asarray(rho, dtype=np.complex128), _DENSITY_TOL, what)
+    rho = require_hermitian(rho, what)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > _DENSITY_TOL:
         raise ValueError(f"{what} trace {tr!r} deviates from 1 beyond {_DENSITY_TOL}")

@@ -23,8 +23,11 @@ __all__ = [
     "require_unitary",
 ]
 
-#: Default Hermiticity tolerance, relative to the max-abs norm of the matrix.
-DEFAULT_HERMITIAN_RTOL = 1e-12
+#: Hermiticity tolerance, relative to max(1, max|M|), for every matrix checked,
+#: densities included.  The Kraus route's ``eigh`` reads one triangle of its
+#: weighting state: with starts 1e-10 off Hermitian the photon-side routes came
+#: 1.00-1.16e-9 apart at n_max 170, past ``subdyn.ROUTE_TOL``, in 6 of 24 draws.
+HERMITIAN_RTOL = 1e-12
 #: Largest entry of |U†U - I| that :func:`require_unitary` accepts; the oracle's
 #: eigensystem and Heisenberg-point checks hold :func:`unitarity_defect` to it too.
 UNITARY_TOL = 1e-10
@@ -41,14 +44,13 @@ def require_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_hermitian(m: np.ndarray, tol: float | None = None, what: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (default: 1e-12 relative to max-abs)."""
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Validate Hermiticity within :data:`HERMITIAN_RTOL` × max(1, max-abs)."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     require_finite(m, what)
-    if tol is None:
-        tol = DEFAULT_HERMITIAN_RTOL * max(1.0, max_abs(m))
+    tol = HERMITIAN_RTOL * max(1.0, max_abs(m))
     defect = max_abs(m - m.conj().T)
     if defect > tol:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
@@ -60,7 +62,7 @@ def eigh_hermitian(m: np.ndarray):
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real ascending
     and eigenvectors as unitary columns.  Rejects input that
-    :func:`require_hermitian` rejects at its default tolerance.
+    :func:`require_hermitian` rejects.
     """
     m = require_hermitian(m)
     evals, evecs = np.linalg.eigh(m)

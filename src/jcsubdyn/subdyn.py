@@ -83,9 +83,9 @@ def assemble_hamiltonian(h_photon: np.ndarray, h_atom: np.ndarray,
     ``h_photon`` lives on the photon space, ``h_atom`` on the atom space,
     ``h_coupling`` on the composite space; each must be Hermitian.
     """
-    h_photon = require_hermitian(np.asarray(h_photon, dtype=np.complex128), what="photon part")
-    h_atom = require_hermitian(np.asarray(h_atom, dtype=np.complex128), what="atom part")
-    h_coupling = require_hermitian(np.asarray(h_coupling, dtype=np.complex128), what="coupling part")
+    h_photon = require_hermitian(h_photon, "photon part")
+    h_atom = require_hermitian(h_atom, "atom part")
+    h_coupling = require_hermitian(h_coupling, "coupling part")
     if h_photon.shape != (space.dim, space.dim):
         raise ValueError(f"photon part must be {space.dim}x{space.dim}, got {h_photon.shape}")
     if h_atom.shape != (ATOM_DIM, ATOM_DIM):
@@ -106,7 +106,7 @@ class SpectralPropagator:
     """
 
     def __init__(self, h: np.ndarray):
-        self.evals, self.evecs = eigh_hermitian(np.asarray(h, dtype=np.complex128))
+        self.evals, self.evecs = eigh_hermitian(h)
 
     def __call__(self, t: float) -> np.ndarray:
         return (self.evecs * np.exp(-1j * t * self.evals)) @ self.evecs.conj().T
@@ -257,10 +257,10 @@ class EffectiveOperator:
 
 
 def _weight_factors(weight: np.ndarray):
-    """Eigen-factorization of a weighting state with negatives clipped."""
+    """Roots and eigenvectors of a weighting state's eigenvalues above 1e-15 x max(1, largest)."""
     evals, evecs = np.linalg.eigh(weight)
     keep = evals > 1e-15 * max(1.0, float(evals.max(initial=0.0)))
-    return np.sqrt(np.clip(evals[keep], 0.0, None)), evecs[:, keep]
+    return np.sqrt(evals[keep]), evecs[:, keep]
 
 
 def _effective_matrices(u: np.ndarray, side: str, actions, weight: np.ndarray,
@@ -320,8 +320,7 @@ def effective_operator(u: np.ndarray, op: np.ndarray, side: str,
     and the Kraus-member sum, and raises :class:`CrossCheckError` if they
     disagree beyond :data:`ROUTE_TOL`.
     """
-    other_initial = require_hermitian(np.asarray(other_initial, dtype=np.complex128),
-                                      what="weighting state")
+    other_initial = require_hermitian(other_initial, "weighting state")
     u = require_unitary(u, "propagator")
     op = np.asarray(op, dtype=np.complex128)
     dim = ATOM_DIM if side == "atom" else len(u) // ATOM_DIM

@@ -229,14 +229,14 @@ class TestInputHardening:
                 Scenario(params=params, atom_init=atom, magnitude=1.0, grid=(0.0, 1.0, 3),
                          oracle=oracle)
             assert "\n" not in str(err.value)
-        # Hermitian within the density bound (1e-10) but not within the oracle's (1e-12)
+        # a Hermiticity defect inside _DENSITY_TOL (1e-10) but beyond HERMITIAN_RTOL
+        # (1e-12): refused with the oracle on or off
         skew = np.array([[1.0, 0.0], [1e-11, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="oracle's atom start is not Hermitian") as err:
-            Scenario(params=JcmParams(1.0, 1.0, 0.02, 10), atom_init=skew, magnitude=1.0,
-                     grid=(0.0, 1.0, 3), oracle=True)
-        assert "\n" not in str(err.value)
-        Scenario(params=JcmParams(1.0, 1.0, 0.02, 10), atom_init=skew, magnitude=1.0,
-                 grid=(0.0, 1.0, 3))
+        for oracle in (True, False):
+            with pytest.raises(ValueError, match="atom density matrix is not Hermitian") as err:
+                Scenario(params=JcmParams(1.0, 1.0, 0.02, 10), atom_init=skew, magnitude=1.0,
+                         grid=(0.0, 1.0, 3), oracle=oracle)
+            assert "\n" not in str(err.value)
 
     def test_oracle_over_work_budget_exits_2_within_a_second(self, tmp_path):
         # a child capped at 1 GiB: without the check it would build dense d = 6002

@@ -5,7 +5,7 @@ import pytest
 
 from jcsubdyn import analysis, jcm, subdyn
 from jcsubdyn.hilbert import (FockSpace, annihilation, coherent_state, number_op,
-                              partial_trace, pauli_ops)
+                              partial_trace, pauli_ops, require_atom_density)
 from jcsubdyn.numerics import max_abs
 
 from conftest import random_density, random_hermitian
@@ -218,6 +218,31 @@ def mixed_density(rng, dim, rank):
     probs = rng.uniform(0.2, 1.0, rank)
     probs /= probs.sum()
     return (vecs * probs) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("defect", [0.0, 5e-13, 1e-11, 5e-11])
+def test_one_admission_rule_for_densities(defect):
+    """The library, the effective-operator API and the oracle admit the same starts."""
+    rho = EXCITED.copy()
+    rho[1, 0] = defect  # the (down, up) entry
+    params = jcm.JcmParams(1.0, 1.0, 0.02, 10)
+    admitters = {
+        "require_atom_density": lambda: require_atom_density(rho),
+        "effective_operator": lambda: subdyn.effective_operator(
+            np.eye(2 * params.space.dim), annihilation(params.space), "photon", rho),
+        **{f"Scenario(oracle={oracle})": (lambda oracle=oracle: analysis.Scenario(
+            params=params, atom_init=rho, magnitude=1.0, grid=(0.0, 1.0, 3), oracle=oracle))
+           for oracle in (False, True)},
+    }
+    refusals = {}
+    for name, admit in admitters.items():
+        try:
+            admit()
+        except ValueError as err:
+            refusals[name] = str(err)
+    assert len(refusals) in (0, len(admitters)), refusals
+    assert bool(refusals) == (defect > 1e-12), refusals
+    assert all("\n" not in message for message in refusals.values())
 
 
 class TestMixedWeightings:
