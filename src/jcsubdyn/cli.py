@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, hilbert
-from ._csvtext import format_rows
+from ._csvtext import format_json, format_rows
 from .analysis import CROSSCHECK_TOL
 from .jcm import JcmParams
 from .subdyn import CrossCheckError
@@ -48,9 +48,13 @@ __all__ = ["main", "run_scenario", "emit_output"]
 #: Values formatted per piece handed to the file, so the text of a long grid is
 #: never held whole.  A CSV piece holds CSV_CHUNK_VALUES // columns rows (315 at
 #: figure1's 13 columns): the CSV formatter cost 1.4 times as much a value in pieces
-#: of 256 two-column rows.  A JSON piece's ``repr`` calls cost the same at any size.
+#: of 256 two-column rows.  A JSON piece runs on across arrays; at 4096 values the
+#: streamed writer would pass 0.4 MB (docs/conventions.md, "JSON numbers").
 CSV_CHUNK_VALUES = 4096
-JSON_CHUNK_VALUES = 256
+JSON_CHUNK_VALUES = 2048
+#: What follows a JSON number: in ``channels``, in ``gt``, and at an array's end a mark
+#: that _json_chunks cuts the piece at.
+_JSON_SEPS = (b",\n      ", b",\n    ", b"]")
 
 
 class ConfigError(ValueError):
@@ -281,13 +285,24 @@ def _require_finite(fmt: str, columns) -> None:
             raise ValueError(f"{fmt} output needs finite values; {name} is not finite")
 
 
-def _json_array(values, pad: str):
-    """A float array as json.dumps(indent=2) writes it ``pad`` deep, JSON_CHUNK_VALUES a piece."""
-    values, sep = np.asarray(values, dtype=np.float64), f",\n{pad}  "
-    for start in range(0, len(values), JSON_CHUNK_VALUES):
-        text = sep.join(map(float.__repr__, values[start:start + JSON_CHUNK_VALUES].tolist()))
-        yield (sep if start else f"[\n{pad}  ") + text
-    yield f"\n{pad}]" if len(values) else "[]"
+def _json_numbers(arrays):
+    """The repr text of the arrays' values, JSON_CHUNK_VALUES a piece and one formatter call
+    each; every value followed by its separator, an array's last value by "]"."""
+    buf, kinds, fill = np.empty(JSON_CHUNK_VALUES), np.empty(JSON_CHUNK_VALUES, np.uint8), 0
+    for k, values in enumerate(arrays):
+        kind, start = k + 1 == len(arrays), 0  # 0 in channels, 1 in gt
+        while start < len(values):
+            take = min(JSON_CHUNK_VALUES - fill, len(values) - start)
+            buf[fill:fill + take] = values[start:start + take]
+            kinds[fill:fill + take] = kind
+            start, fill = start + take, fill + take
+            if start == len(values):
+                kinds[fill - 1] = 2
+            if fill == JSON_CHUNK_VALUES:
+                yield format_json(buf, kinds, _JSON_SEPS)
+                fill = 0
+    if fill:
+        yield format_json(buf[:fill], kinds[:fill], _JSON_SEPS)
 
 
 def _json_nested(obj) -> str:
@@ -297,14 +312,23 @@ def _json_nested(obj) -> str:
 
 def _json_chunks(series: analysis.TimeSeries, names, meta: dict, echo: dict):
     """The text of json.dumps(doc, sort_keys=True, indent=2) + "\n", keys in its order."""
-    yield '{\n  "channels": {'
-    for k, name in enumerate(names):
-        yield f'{"," if k else ""}\n    {json.dumps(name)}: '
-        yield from _json_array(series.channels[name], "    ")
-    yield ("\n  }" if names else "}") + ',\n  "gt": '
-    yield from _json_array(series.gt, "  ")
-    yield ',\n  "metadata": ' + _json_nested(meta)
-    yield ',\n  "scenario": ' + _json_nested(echo) + "\n}\n"
+    arrays = [series.channels[name] for name in names] + [series.gt]
+    heads = [f'{"," if k else ""}\n    {json.dumps(name)}: ' for k, name in enumerate(names)]
+    heads.append(("\n  }" if names else "}") + ',\n  "gt": ')
+    frame = ['{\n  "channels": {']  # the text around each non-empty array's numbers
+    for head, values, pad in zip(heads, arrays, ["    "] * len(names) + ["  "]):
+        frame[-1] += head + (f"[\n{pad}  " if len(values) else "[]")
+        if len(values):
+            frame.append(f"\n{pad}]")
+    frame[-1] += f',\n  "metadata": {_json_nested(meta)},\n  "scenario": {_json_nested(echo)}\n}}\n'
+    yield frame[0]
+    frames = iter(frame[1:])
+    for text in _json_numbers(arrays):
+        *ends, rest = text.split(b"]")
+        for part in ends:
+            yield part
+            yield next(frames)
+        yield rest
 
 
 def emit_output(series: analysis.TimeSeries, fmt: str, path: str, echo: dict) -> None:

@@ -488,7 +488,11 @@ def _edge_doubles():
               # exact ties at the 18th digit: an odd 17th digit rounds up, an even one down
               0.00010061264038085938, 1.0251998901367188e-05, 1.3113021850585938e-06,
               # and ties where 10^(16-e) is not a double (e = -7, -8)
-              *(m * 2.0 ** -24 for m in range(3, 17, 2)), 2.0 ** -25, 3 * 2.0 ** -25]
+              *(m * 2.0 ** -24 for m in range(3, 17, 2)), 2.0 ** -25, 3 * 2.0 ** -25,
+              # for repr: 16-digit ties within half an ulp, and 16 digits half an ulp
+              # away; reading rounds both to the even neighbour
+              *(8 + m * 2.0 ** -16 for m in range(1, 17, 2)),
+              *(2.0 ** 54 + 4 * k for k in range(8))]
     # every power of ten and its neighbours: the fixed/scientific switches at 1e-4/1e-5
     # and 1e16/1e17, and the digits that log10 puts one decade off
     for k in range(-323, 309):
@@ -570,7 +574,7 @@ class TestCsvText:
 
     def test_one_block_allocates_a_few_times_its_text(self):
         """A 4096-value block makes about 0.1 MB of text.  Each intermediate table
-        is freed once read, so formatting it peaks near 0.37 MB."""
+        is freed once read, so formatting it peaks near 0.3 MB."""
         rng = np.random.default_rng(5)
         block = rng.standard_normal((2048, 2)) * 10.0 ** rng.integers(-30, 30, (2048, 2))
         want = percent_17g(block)
@@ -591,8 +595,9 @@ class TestStreamedWriters:
     def test_writer_allocates_a_few_rows_for_a_long_series(self, tmp_path, fmt, points):
         """gt and three channels: at 100k points the whole CSV table alone is 3.2 MB,
         and at 10k points the JSON text of the channels 0.75 MB.  A CSV string of
-        CSV_CHUNK_VALUES = 4096 values is formatted in about 0.37 MB; the whole
-        CSV write peaks near 0.49 MB."""
+        CSV_CHUNK_VALUES = 4096 values is formatted in about 0.3 MB; the whole CSV
+        write peaks near 0.43 MB, the JSON write in pieces of JSON_CHUNK_VALUES =
+        2048 values near 0.32 MB."""
         from jcsubdyn.jcm import JcmParams
 
         scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
@@ -613,21 +618,23 @@ class TestStreamedWriters:
     def test_passes_and_chunks_move_no_byte(self, tmp_path, monkeypatch):
         """1537 points at n_max 45 end in a lone row: in passes of 512 points and
         strings of 7 values (one CSV row) both files hold the bytes of one pass and
-        the default strings."""
+        the default strings.  JSON pieces of 7 and 1000 values end inside the
+        arrays of 1537 values, and most run on from one array into the next."""
         argv = ["--n-max", "45", "--alpha-mag", str(ROOT10), "--omega0", "0.8", "--g", "0.02",
                 "--atom-uu", "0.6", "--atom-ud-re", "-0.3", "--atom-ud-im", "0.35",
                 "--atom-dd", "0.4", "--grid", "0", "60", "1537"]
         monkeypatch.chdir(tmp_path)
         files = {}
         for points, csv_size, json_size in ((analysis._PASS_POINTS, cli.CSV_CHUNK_VALUES,
-                                             cli.JSON_CHUNK_VALUES), (512, 7, 7)):
+                                             cli.JSON_CHUNK_VALUES), (512, 7, 7),
+                                            (512, cli.CSV_CHUNK_VALUES, 1000)):
             monkeypatch.setattr(analysis, "_PASS_POINTS", points)
             monkeypatch.setattr(cli, "CSV_CHUNK_VALUES", csv_size)
             monkeypatch.setattr(cli, "JSON_CHUNK_VALUES", json_size)
             for fmt in ("csv", "json"):
                 assert cli.main(argv + ["--format", fmt, "--output", f"run.{fmt}"]) == 0
                 files.setdefault(fmt, []).append((tmp_path / f"run.{fmt}").read_bytes())
-        assert all(one == many for one, many in files.values())
+        assert all(len(set(texts)) == 1 for texts in files.values())
 
 
 #: Output file name -> (CLI flags, SHA-256 of the file as one json.dumps of the
@@ -703,6 +710,63 @@ class TestJsonText:
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv + ["--output", name]) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def _edge_series():
+        from jcsubdyn.jcm import JcmParams
+
+        values = _edge_doubles()
+        scenario = analysis.Scenario(params=JcmParams(1.0, 0.8, 0.02, 5),
+                                     atom_init=np.diag([1.0, 0.0]).astype(complex))
+        half = len(values) // 2  # the positive edges, then the negative ones
+        return analysis.TimeSeries(scenario, values[:half], {"quasi_n": values[half:]}, {})
+
+    @pytest.mark.filterwarnings("error")  # no floating-point warning reaches the CLI's stderr
+    @pytest.mark.parametrize("size", [1, 7, cli.JSON_CHUNK_VALUES])
+    def test_edge_values_in_pieces(self, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(cli, "JSON_CHUNK_VALUES", size)
+        assert self._mismatch(self._edge_series(), {}, tmp_path / "e.json") is None
+
+    def test_repr_path_alone_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_csvtext, "_TIE", np.inf)  # every value is near a bound
+        series, left = self._edge_series(), []
+        shortest = _csvtext._shortest
+
+        def counted(a):
+            d, at, fall = shortest(a)
+            left.append(np.isin(np.flatnonzero(a), fall).all())
+            return d, at, fall
+
+        monkeypatch.setattr(_csvtext, "_shortest", counted)
+        assert self._mismatch(series, {}, tmp_path / "r.json") is None
+        assert left and all(left)
+
+    def test_oracle_document_is_one_formatter_call(self, tmp_path, monkeypatch):
+        """The oracle workload's document, 19 channels and gt of 50 points, takes one
+        call of the number formatter, not one per array."""
+        calls, real = [], cli.format_json
+        monkeypatch.setattr(cli, "format_json", lambda v, *rest: calls.append(len(v)) or
+                            real(v, *rest))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(JSON_RUNS["oracle.json"][0] + ["--output", "oracle.json"]) == 0
+        assert calls == [1000]
+
+    def test_one_piece_allocates_a_few_times_its_text(self):
+        """A piece of JSON_CHUNK_VALUES values, each freed table once read, peaks
+        below four times the text it makes."""
+        rng, n = np.random.default_rng(5), cli.JSON_CHUNK_VALUES
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        kinds = (np.arange(n) % 300 == 299).astype(np.uint8) * 2  # an array ends every 300
+        tracemalloc.start()
+        try:
+            text = _csvtext.format_json(values, kinds, cli._JSON_SEPS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = b"".join(float.__repr__(v).encode() + cli._JSON_SEPS[k]
+                        for v, k in zip(values.tolist(), kinds.tolist()))
+        assert text == want
+        assert peak <= 4 * len(text), f"peak {peak} B for {len(text)} B of text"
 
 
 class TestOracleMode:

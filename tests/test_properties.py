@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import percent_17g, text_mismatch
 from jcsubdyn import _kernels, analysis, cli, jcm, subdyn
-from jcsubdyn._csvtext import format_rows
+from jcsubdyn._csvtext import format_json, format_rows
 from jcsubdyn.analysis import ORACLE_CHANNELS, Scenario, observable_series
 from jcsubdyn.hilbert import (_lower_cut, annihilation, auto_n_max, number_op, pauli_ops,
                               poisson_weights)
@@ -271,6 +271,14 @@ def raw_double_blocks(draw):
 @given(raw_double_blocks())
 def test_csv_text_is_percent_17g_on_raw_bit_patterns(block):
     assert text_mismatch(format_rows(block).decode(), percent_17g(block)) is None
+
+
+@given(raw_double_blocks().map(np.ravel))
+def test_json_text_is_repr_on_raw_bit_patterns(values):
+    kinds = np.arange(len(values), dtype=np.uint8) % 3  # in channels, in gt, an array's end
+    want = b"".join(float.__repr__(v).encode() + cli._JSON_SEPS[k]
+                    for v, k in zip(values.tolist(), kinds.tolist()))
+    assert format_json(values, kinds, cli._JSON_SEPS) == want
 
 
 @given(raw_double_blocks().map(np.ravel), st.integers(1, 40))
